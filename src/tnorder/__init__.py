@@ -4,8 +4,8 @@ Provably optimal linear contraction orders for tree tensor networks in
 polynomial time, exact exponential DP baselines, a cubic interval DP that
 upgrades linear orders to contraction trees, a spanning-tree reduction
 for general networks, and a reproducible generator plus benchmark
-harness. All cost arithmetic is exact (arbitrary-precision integers and
-rationals); identical inputs always produce identical outputs.
+harness. All cost arithmetic is exact arbitrary-precision integer
+arithmetic; identical inputs always produce identical outputs.
 """
 
 from .bench import (
@@ -29,7 +29,6 @@ from .cost import (
 from .generate import generate_random_tree_network
 from .heuristics import max_spanning_tree, order_arbitrary
 from .iks import (
-    Rank,
     SequenceEntry,
     fuse,
     iks_order,
@@ -79,7 +78,6 @@ __all__ = [
     "NodeId",
     "NodeQuantities",
     "PrecedenceGraph",
-    "Rank",
     "SequenceEntry",
     "SizeBoundError",
     "SizeSummary",

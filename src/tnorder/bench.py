@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -142,6 +141,10 @@ def run_benchmark(
         for alg in algorithms
     ]
     if workers > 1:
+        # imported here: it pulls in multiprocessing, which every CLI call
+        # would otherwise pay for at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_single, tasks))
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 from .bench import format_summary, render_chart, run_benchmark, summarize, write_csv
 from .cost import evaluate_linear, evaluate_tree
@@ -42,8 +43,11 @@ def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -62,10 +66,10 @@ def _emit_trace(net: TensorNetwork, stream) -> None:
         print("chain:", file=stream)
         for entry in chain:
             names = ",".join(str(v) for v in entry.members)
-            print(
-                f"  ({names})  T={entry.T} C={entry.C} rank={entry.rank}",
-                file=stream,
-            )
+            T = Fraction(entry.P, entry.Q)
+            C = Fraction(entry.Cn, entry.Q)
+            rank = Fraction(entry.P - entry.Q, entry.Cn)
+            print(f"  ({names})  T={T} C={C} rank={rank}", file=stream)
         print("order: " + " ".join(str(v) for v in order), file=stream)
 
 

@@ -16,24 +16,30 @@ Sequence bookkeeping: an entry over members v1..vk carries
     T = t(v1) * ... * t(vk)            (prefix-size multiplier)
     C with C(S1 S2) = C(S1) + T(S1) * C(S2), C(v) = c(v)   (relative cost)
 
-and rank(S) = (T(S) - 1) / C(S). Since C > 0 always, ranks are compared
-by cross-multiplication, which never flips an inequality. Everything is
-exact rational arithmetic.
+and rank(S) = (T(S) - 1) / C(S), with t(v) = F(v) / w(v)^2 and
+c(v) = F(v) / w(v). Entries hold these as unreduced integers
+(P, Q, Cn) with T = P / Q and C = Cn / Q: a single node is
+(F, w^2, F * w), fusing is (Pa * Pb, Qa * Qb, Cna * Qb + Pa * Cnb), and
+rank(S) = (P - Q) / Cn. Since Cn > 0 always, ranks are compared by
+cross-multiplication, which never flips an inequality and never divides.
+
+The chain of the subtree at v seen from its neighbour p depends only on
+the directed edge (v, p), so ``iks_order`` linearizes each directed edge
+at most once, 2(n - 1) in all, and every rooting reuses them; a rooting
+itself needs only the (P, Q, Cn) fold of its merged chain.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import total_ordering
+from functools import cmp_to_key, reduce
+from itertools import chain
+from typing import Iterator, NamedTuple
 
 from .network import NodeId, TensorNetwork, ValidationError, id_key
-from .precedence import PrecedenceGraph, build_precedence_graph
+from .precedence import PrecedenceGraph
 
 __all__ = [
-    "Rank",
     "SequenceEntry",
     "fuse",
     "iks_order",
@@ -46,66 +52,46 @@ __all__ = [
 ]
 
 
-@total_ordering
-@dataclass(frozen=True, eq=False)
-class Rank:
-    """A rank as the pair (T - 1, C) with C > 0, compared exactly by
-    cross-multiplication. Total and transitive; never divides."""
+class SequenceEntry(NamedTuple):
+    """A (possibly compound) tensor sequence with its exact integer form.
 
-    num: Fraction
-    den: Fraction
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Rank):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __lt__(self, other) -> bool:
-        if not isinstance(other, Rank):
-            return NotImplemented
-        return self.num * other.den < other.num * self.den
-
-    def as_fraction(self) -> Fraction:
-        return self.num / self.den
-
-    def __str__(self) -> str:
-        return str(self.as_fraction())
-
-
-@dataclass(frozen=True)
-class SequenceEntry:
-    """A (possibly compound) tensor sequence with its exact (T, C) pair."""
+    ``P / Q`` is the prefix-size multiplier T and ``Cn / Q`` the relative
+    cost C of the sequence; the fractions are never reduced.
+    """
 
     members: tuple[NodeId, ...]
-    T: Fraction
-    C: Fraction
-
-    @property
-    def rank(self) -> Rank:
-        return Rank(self.T - 1, self.C)
+    P: int
+    Q: int
+    Cn: int
 
     def __repr__(self) -> str:
         names = ",".join(str(v) for v in self.members)
-        return f"SequenceEntry(({names}), T={self.T}, C={self.C})"
+        return f"SequenceEntry(({names}), P={self.P}, Q={self.Q}, Cn={self.Cn})"
+
+
+def _node_entry(v: NodeId, F: int, w: int) -> SequenceEntry:
+    return SequenceEntry((v,), F, w * w, F * w)
 
 
 def single_entry(pg: PrecedenceGraph, v: NodeId) -> SequenceEntry:
     """The sequence consisting of node ``v`` alone."""
-    return SequenceEntry((v,), pg.t[v], pg.c[v])
+    return _node_entry(v, pg.F[v], pg.w[v])
 
 
 def fuse(a: SequenceEntry, b: SequenceEntry) -> SequenceEntry:
-    """Concatenate two sequences; (T, C) compose associatively."""
-    return SequenceEntry(a.members + b.members, a.T * b.T, a.C + a.T * b.C)
+    """Concatenate two sequences; (P, Q, Cn) compose associatively."""
+    return SequenceEntry(
+        a.members + b.members, a.P * b.P, a.Q * b.Q, a.Cn * b.Q + a.P * b.Cn
+    )
 
 
 def rank_leq(U: SequenceEntry, V: SequenceEntry) -> bool:
     """True iff placing U before V is no worse than V before U.
 
-    Computed as (T(U) - 1) * C(V) <= (T(V) - 1) * C(U); the denominators
-    C are always positive, so cross-multiplying preserves the inequality.
+    Computed as (P(U) - Q(U)) * Cn(V) <= (P(V) - Q(V)) * Cn(U); Cn is
+    always positive, so cross-multiplying preserves the inequality.
     """
-    return (U.T - 1) * V.C <= (V.T - 1) * U.C
+    return (U.P - U.Q) * V.Cn <= (V.P - V.Q) * U.Cn
 
 
 def _required(a: SequenceEntry, b: SequenceEntry, pg: PrecedenceGraph) -> bool:
@@ -137,8 +123,16 @@ def normalize_chain(
     return out
 
 
-def _merge_key(entry: SequenceEntry):
-    return (entry.rank, id_key(entry.members[0]))
+def _merge_cmp(a: SequenceEntry, b: SequenceEntry) -> int:
+    lhs = (a.P - a.Q) * b.Cn
+    rhs = (b.P - b.Q) * a.Cn
+    if lhs != rhs:
+        return -1 if lhs < rhs else 1
+    # entries being merged cover disjoint nodes, so leading ids differ
+    return -1 if id_key(a.members[0]) < id_key(b.members[0]) else 1
+
+
+_merge_key = cmp_to_key(_merge_cmp)
 
 
 def merge_children(
@@ -146,12 +140,59 @@ def merge_children(
 ) -> list[SequenceEntry]:
     """Merge rank-sorted chains into one rank-sorted chain.
 
-    Rank ties break on the smallest leading node id, so the result is
-    deterministic regardless of input chain order.
+    Rank ties break on the smallest leading node id. Leading ids are
+    distinct, so the result is the one ordering of all entries by
+    (rank, leading id), whatever the order of the input chains.
     """
     if len(linearized) == 1:
         return list(linearized[0])
-    return list(heapq.merge(*linearized, key=_merge_key))
+    # sorted runs: timsort merges them in O(N log k) comparisons
+    return sorted(chain.from_iterable(linearized), key=_merge_key)
+
+
+def _absorb(
+    v: NodeId, F: int, w: int, merged: list[SequenceEntry]
+) -> list[SequenceEntry]:
+    """Chain of a subtree: its root ``v`` (size F, parent edge w) fused
+    with the head of its merged child chain.
+
+    The root must come first, so while the next entry's rank is <= the
+    root entry's, the pair is contradictory and the entry is fused in.
+    Fusing on ties keeps the chain strictly sorted under (rank, leading
+    id), which is what makes the merge order reproducible.
+    """
+    head = _node_entry(v, F, w)
+    _, P, Q, Cn = head
+    parts = [head.members]
+    for entry in merged:
+        _, Pe, Qe, Cne = entry
+        if (Pe - Qe) * Cn > (P - Q) * Cne:  # not rank_leq(entry, head)
+            break
+        parts.append(entry.members)
+        P, Q, Cn = P * Pe, Q * Qe, Cn * Qe + P * Cne  # fuse(head, entry)
+    fused = len(parts) - 1
+    if fused:
+        head = SequenceEntry(tuple(chain.from_iterable(parts)), P, Q, Cn)
+    return [head, *merged[fused:]]
+
+
+def _prefix_costs(size: int, entries: list[SequenceEntry]) -> list[int]:
+    """Costs of contracting ``entries`` in order onto a prefix of ``size``.
+
+    Item k is the total after the first k entries. The order is a suffix
+    of a precedence-respecting order, so every prefix is a real tensor
+    and every step a real contraction: each size and each step cost is an
+    integer and both divisions are exact. Numbers stay the size of the
+    costs themselves, where an unreduced (P, Q, Cn) fold grows with the
+    length of the sequence.
+    """
+    costs = [0]
+    cost = 0
+    for _, P, Q, Cn in entries:
+        cost += size * Cn // Q
+        size = size * P // Q
+        costs.append(cost)
+    return costs
 
 
 def linearized_chain(pg: PrecedenceGraph) -> list[SequenceEntry]:
@@ -159,21 +200,13 @@ def linearized_chain(pg: PrecedenceGraph) -> list[SequenceEntry]:
 
     Every subtree is reduced to a rank-sorted chain: child chains are
     merged by rank, then the subtree root is fused with the chain head
-    while its rank is >= the head's rank (the root must come first, so a
-    head that rank-sorts at or before it is contradictory). Fusing on
-    ties keeps each chain strictly sorted under (rank, leading id), which
-    is what makes the merge order reproducible.
+    while its rank is >= the head's rank.
     """
     chains: dict[NodeId, list[SequenceEntry]] = {}
     for v in reversed(pg.preorder):
         kids = pg.children[v]
         merged = merge_children([chains.pop(u) for u in kids]) if kids else []
-        acc = single_entry(pg, v)
-        i = 0
-        while i < len(merged) and rank_leq(merged[i], acc):
-            acc = fuse(acc, merged[i])
-            i += 1
-        chains[v] = [acc, *merged[i:]]
+        chains[v] = _absorb(v, pg.F[v], pg.w[v], merged)
     return chains[pg.root]
 
 
@@ -184,18 +217,91 @@ def linearize_root(pg: PrecedenceGraph) -> tuple[tuple[NodeId, ...], int]:
     outer-product-free (every prefix is connected by construction) and
     cost-minimal among all orders compatible with this rooting.
     """
-    chain = linearized_chain(pg)
-    order = tuple(v for entry in chain for v in entry.members)
-    T = chain[0].T
-    C = chain[0].C
-    for entry in chain[1:]:
-        C += T * entry.C
-        T *= entry.T
+    whole = reduce(fuse, linearized_chain(pg))
     # Gamma(order) = F(root) * C(order[1:]); the root entry contributes
     # F(root) * (1 + C(rest)), so subtracting F(root) recovers the cost.
-    gamma = C - pg.F[pg.root]
-    assert gamma.denominator == 1, "sequence calculus produced a non-integer cost"
-    return order, int(gamma)
+    C, rem = divmod(whole.Cn, whole.Q)
+    assert rem == 0, "sequence calculus produced a non-integer cost"
+    return whole.members, C - pg.F[pg.root]
+
+
+def _rootings(
+    net: TensorNetwork, deadline: float | None
+) -> Iterator[tuple[NodeId, int, tuple[NodeId, ...], list[SequenceEntry], NodeId | None]]:
+    """Cost of every rooting of a tree network, sharing subtree chains.
+
+    ``edge[v, p]`` holds the chain of the subtree at v seen from its
+    neighbour p. A first pass, from an arbitrary start node, fills the
+    edges pointing at the start bottom-up. A second pass, top-down, has
+    every edge into v on hand when it reaches v, merges them all once
+    and derives each edge out of v by dropping one neighbour's entries
+    from that merge. Both passes are iterative.
+
+    Fusing never reorders members, so the order rooted at v is v followed
+    by v's merged chain expanded, and its cost is a sum over that chain's
+    entries. A leaf's only use of the edge into it is its own rooting, so
+    that edge is never linearized: the leaf's cost follows from the costs
+    of its parent's rooting around the leaf's entry.
+
+    Yields (root, cost, head, entries, skip): the order is ``head``
+    followed by the members of ``entries``, leaving out the entry led
+    by ``skip``.
+    """
+    adjacency = net.adjacency
+    F = {v: net.tensor_size(v) for v in net.nodes}
+    start = net.nodes[0]
+    parent: dict[NodeId, NodeId | None] = {start: None}
+    preorder: list[NodeId] = []
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        preorder.append(u)
+        for v in adjacency[u]:
+            if v != parent[u]:
+                parent[v] = u
+                stack.append(v)
+
+    def check_deadline() -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("deadline exceeded while trying rootings")
+
+    edge: dict[tuple[NodeId, NodeId], list[SequenceEntry]] = {}
+    for v in reversed(preorder[1:]):
+        check_deadline()
+        p = parent[v]
+        kids = [edge[u, v] for u in adjacency[v] if u != p]
+        merged = merge_children(kids) if kids else []
+        edge[v, p] = _absorb(v, F[v], adjacency[v][p], merged)
+
+    for v in preorder:
+        if v != start and len(adjacency[v]) == 1:
+            continue  # a leaf: rooted at its parent's step below
+        check_deadline()
+        incoming = {u: edge.pop((u, v)) for u in adjacency[v]}
+        merged = merge_children(list(incoming.values())) if incoming else []
+        costs = _prefix_costs(F[v], merged)
+        yield v, costs[-1], (v,), merged, None
+
+        at: dict[NodeId, int] = {}
+        for u, w in adjacency[v].items():
+            if u == parent[v]:
+                continue
+            check_deadline()
+            if len(adjacency[u]) > 1:
+                skip = {e.members[0] for e in incoming[u]}
+                rest = [e for e in merged if e.members[0] not in skip]
+                edge[v, u] = _absorb(v, F[v], w, rest)
+                continue
+            # Rooted at leaf u the order is u, v, then v's merged chain
+            # without u's entry, which sits at position k. Against v's
+            # rooting, contracting v costs F(u) * F(v) / w, the entries
+            # before position k cost t(u) = F(u) / w^2 times as much (u is
+            # already in the prefix) and those after it the same.
+            if not at:
+                at = {e.members[0]: k for k, e in enumerate(merged)}
+            k = at[u]
+            cost = F[u] * F[v] // w + F[u] * costs[k] // (w * w) + costs[-1] - costs[k + 1]
+            yield u, cost, (u, v), merged, u
 
 
 def iks_order(
@@ -203,23 +309,23 @@ def iks_order(
 ) -> tuple[tuple[NodeId, ...], int]:
     """Globally optimal outer-product-free linear order for a tree network.
 
-    Linearizes every rooting and returns the cheapest order with its
+    Prices every rooting and returns the cheapest order with its
     exact cost; equal-cost roots resolve to the smallest root id. The
     optional ``deadline`` (a ``time.monotonic()`` instant) raises
-    ``TimeoutError`` between rootings once passed.
+    ``TimeoutError`` once passed; it is checked once per node while
+    subtree chains are built and once per rooting.
     """
     if not net.is_tree:
         raise ValidationError(
             "optimal linear ordering requires a tree network; "
             "use order_arbitrary for general networks"
         )
-    best_order: tuple[NodeId, ...] | None = None
-    best_cost = 0
-    for root in sorted(net.nodes, key=id_key):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("deadline exceeded while trying rootings")
-        order, cost = linearize_root(build_precedence_graph(net, root))
-        if best_order is None or cost < best_cost:
-            best_order, best_cost = order, cost
-    assert best_order is not None
-    return best_order, best_cost
+    best = None
+    for root, cost, head, entries, skip in _rootings(net, deadline):
+        key = (cost, id_key(root))
+        if best is None or key < best[0]:
+            best = key, head, entries, skip
+    assert best is not None
+    (cost, _), head, entries, skip = best
+    rest = (v for e in entries if e.members[0] != skip for v in e.members)
+    return (*head, *rest), cost

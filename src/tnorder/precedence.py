@@ -2,17 +2,23 @@
 
 Rooting orients every edge away from the root and thereby fixes a partial
 contraction order (a node may only be contracted once its parent has
-been). Each node carries four exact quantities used by the rank-based
-optimizer:
+been). Each node carries two integers from which the rank-based
+optimizer derives everything:
 
     w(v)  size of the edge to the parent (1 for the root)
     F(v)  full tensor size: open_mult(v) times all incident edge sizes
+
+The rank ingredients are the rationals
+
     t(v)  F(v) / w(v)^2, the factor by which contracting v multiplies the
           size of the already-contracted prefix
     c(v)  F(v) / w(v), the cost of contracting v into a prefix of size 1
 
-t and c are exact rationals; t(v) < 1 is common and float comparisons
-could misorder near-ties, so nothing here ever leaves Fraction land.
+which the optimizer keeps as the unreduced integers (F, w^2, F * w) of
+its sequence entries (see ``iks``). t(v) < 1 is common and float
+comparisons could misorder near-ties, so nothing is ever rounded; t and
+c appear as exact ``Fraction``s only in ``node_quantities`` and
+``format_precedence``, which compute them on demand.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ class PrecedenceGraph:
     network's edge order.
     """
 
-    __slots__ = ("root", "parent", "children", "w", "F", "t", "c", "preorder")
+    __slots__ = ("root", "parent", "children", "w", "F", "preorder")
 
     def __init__(self, net: TensorNetwork, root: NodeId) -> None:
         if root not in net.open_mult:
@@ -73,16 +79,9 @@ class PrecedenceGraph:
 
         w: dict[NodeId, int] = {}
         F: dict[NodeId, int] = {}
-        t: dict[NodeId, Fraction] = {}
-        c: dict[NodeId, Fraction] = {}
         for v in preorder:
             w[v] = 1 if v == root else net.adjacency[v][parent[v]]
-            size = net.open_mult[v]
-            for edge in net.adjacency[v].values():
-                size *= edge
-            F[v] = size
-            t[v] = Fraction(size, w[v] * w[v])
-            c[v] = Fraction(size, w[v])
+            F[v] = net.tensor_size(v)
 
         self.root = root
         self.parent = parent
@@ -90,8 +89,6 @@ class PrecedenceGraph:
         self.preorder = tuple(preorder)
         self.w = w
         self.F = F
-        self.t = t
-        self.c = c
 
     def __len__(self) -> int:
         return len(self.preorder)
@@ -106,11 +103,12 @@ def build_precedence_graph(net: TensorNetwork, root: NodeId) -> PrecedenceGraph:
 
 
 def node_quantities(pg: PrecedenceGraph, v: NodeId) -> NodeQuantities:
-    """The cached exact quantities (w, F, t, c) of node ``v``."""
+    """The exact quantities (w, F, t, c) of node ``v``."""
     try:
-        return NodeQuantities(pg.w[v], pg.F[v], pg.t[v], pg.c[v])
+        w, F = pg.w[v], pg.F[v]
     except KeyError:
         raise ValidationError(f"unknown node id {v!r}") from None
+    return NodeQuantities(w, F, Fraction(F, w * w), Fraction(F, w))
 
 
 def format_precedence(pg: PrecedenceGraph) -> str:
@@ -121,5 +119,6 @@ def format_precedence(pg: PrecedenceGraph) -> str:
         d = depth[v]
         for kid in pg.children[v]:
             depth[kid] = d + 1
-        lines.append(f"{'  ' * d}{v}  w={pg.w[v]} F={pg.F[v]} t={pg.t[v]} c={pg.c[v]}")
+        w, F, t, c = node_quantities(pg, v)
+        lines.append(f"{'  ' * d}{v}  w={w} F={F} t={t} c={c}")
     return "\n".join(lines)

@@ -70,6 +70,14 @@ def test_gen_respects_dim_flags(capsys):
     assert all(s == 7 for _, _, s in net.edges)
 
 
+def test_gen_unwritable_output_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "x.json"
+    assert main(["gen", "--n", "4", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gen_rejects_bad_n(capsys):
     assert main(["gen", "--n", "1"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,17 +1,19 @@
 import itertools
 import random
 import time
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tnorder.iks
 from tnorder import (
-    Rank,
     SequenceEntry,
     TensorNetwork,
     ValidationError,
     build_precedence_graph,
+    dp_linear_optimal,
     evaluate_linear,
     check_outer_product_free,
     fuse,
@@ -33,24 +35,45 @@ from helpers import (
 F = Fraction
 
 
-def entry(T, C, *members):
-    return SequenceEntry(members or ("x",), F(T), F(C))
+def entry(P, Q, Cn, *members):
+    return SequenceEntry(members or ("x",), P, Q, Cn)
+
+
+def T(e):
+    return F(e.P, e.Q)
+
+
+def C(e):
+    return F(e.Cn, e.Q)
+
+
+def rank(e):
+    # (T - 1) / C
+    return F(e.P - e.Q, e.Cn)
 
 
 # ------------------------------------------------------------------ ranks
 
 
 def test_rank_compares_by_cross_multiplication():
-    assert Rank(F(1), F(2)) == Rank(F(2), F(4))
-    assert Rank(F(-1), F(2)) < Rank(F(0), F(7))
-    assert Rank(F(1, 3), F(2)) <= Rank(F(1), F(6))
-    assert Rank(F(1), F(2)) > Rank(F(-3), F(1))
-    assert str(Rank(F(-5, 6), F(7, 3))) == "-5/14"
+    def equal(a, b):
+        return rank_leq(a, b) and rank_leq(b, a)
+
+    def less(a, b):
+        return rank_leq(a, b) and not rank_leq(b, a)
+
+    # rank (P - Q) / Cn is scale-free: unreduced forms compare equal
+    assert equal(entry(2, 1, 2), entry(6, 2, 8))  # 1/2 == 2/4
+    assert less(entry(1, 2, 2), entry(3, 3, 21))  # -1/2 < 0/7
+    assert equal(entry(4, 3, 6), entry(2, 1, 6))  # (1/3)/2 == 1/6
+    assert less(entry(1, 4, 1), entry(2, 1, 2))  # -3 < 1/2
+    # T = 1/6, C = 7/3: rank (T - 1) / C = -5/14
+    assert rank(entry(1, 6, 14)) == F(-5, 14)
 
 
 def test_five_tensor_single_ranks(five_tensor_net):
     pg = build_precedence_graph(five_tensor_net, "T4")
-    ranks = {v: single_entry(pg, v).rank.as_fraction() for v in pg.preorder}
+    ranks = {v: rank(single_entry(pg, v)) for v in pg.preorder}
     assert ranks["T3"] == F(-4, 5)
     assert ranks["T2"] == F(-1, 3)
     assert ranks["T5"] == F(-1, 2)
@@ -58,18 +81,18 @@ def test_five_tensor_single_ranks(five_tensor_net):
 
 
 def test_rank_leq_agrees_with_rank_ordering():
-    a = entry("1/3", 2)
-    b = entry("1/2", 1)
-    assert rank_leq(a, b) == (a.rank <= b.rank)
-    assert rank_leq(b, a) == (b.rank <= a.rank)
+    a = entry(1, 3, 6)  # T = 1/3, C = 2
+    b = entry(1, 2, 2)  # T = 1/2, C = 1
+    assert rank_leq(a, b) == (rank(a) <= rank(b))
+    assert rank_leq(b, a) == (rank(b) <= rank(a))
 
 
 def test_swap_decision_on_branch_network(branch_net):
     # T2 and T4 both hang off T1; their ranks decide who goes first
     pg = build_precedence_graph(branch_net, "T1")
     u, v = single_entry(pg, "T2"), single_entry(pg, "T4")
-    assert u.rank.as_fraction() == F(1, 4)
-    assert v.rank.as_fraction() == F(-2, 3)
+    assert rank(u) == F(1, 4)
+    assert rank(v) == F(-2, 3)
     assert not rank_leq(u, v)
     assert rank_leq(v, u)
     assert evaluate_linear(branch_net, ("T1", "T2", "T4", "T3")).cost == 40
@@ -111,30 +134,34 @@ def test_asi_swap_biconditional(seed, n):
 def test_single_entry_five_tensor(five_tensor_net):
     pg = build_precedence_graph(five_tensor_net, "T4")
     e = single_entry(pg, "T2")
-    assert e.members == ("T2",)
-    assert e.T == F(1, 3)
-    assert e.C == 2
+    # (F, w^2, F * w) with F = 12, w = 6
+    assert e == SequenceEntry(("T2",), 12, 36, 72)
+    assert T(e) == F(1, 3)
+    assert C(e) == 2
 
 
 def test_fuse_compound_t2_t5(five_tensor_net):
     pg = build_precedence_graph(five_tensor_net, "T4")
     c = fuse(single_entry(pg, "T2"), single_entry(pg, "T5"))
     assert c.members == ("T2", "T5")
-    assert c.T == F(1, 6)
-    assert c.C == F(7, 3)
-    assert c.rank.as_fraction() == F(-5, 14)
+    assert (c.P, c.Q, c.Cn) == (12 * 2, 36 * 4, 72 * 4 + 12 * 4)
+    assert T(c) == F(1, 6)
+    assert C(c) == F(7, 3)
+    assert rank(c) == F(-5, 14)
 
 
-fractions_pos = st.fractions(min_value=F(1, 50), max_value=50)
+ints_pos = st.integers(min_value=1, max_value=10**12)
 
 
 @settings(max_examples=200)
-@given(*([fractions_pos] * 6))
-def test_fuse_is_associative(t1, c1, t2, c2, t3, c3):
-    a, b, c = entry(t1, c1, "a"), entry(t2, c2, "b"), entry(t3, c3, "c")
+@given(*([ints_pos] * 9))
+def test_fuse_is_associative(p1, q1, n1, p2, q2, n2, p3, q3, n3):
+    a, b, c = entry(p1, q1, n1, "a"), entry(p2, q2, n2, "b"), entry(p3, q3, n3, "c")
     left = fuse(fuse(a, b), c)
     right = fuse(a, fuse(b, c))
+    # exactly equal, unreduced integers included
     assert left == right
+    assert left.members == ("a", "b", "c")
 
 
 def test_fuse_matches_cost_composition(five_tensor_net):
@@ -142,8 +169,8 @@ def test_fuse_matches_cost_composition(five_tensor_net):
     # after the first
     pg = build_precedence_graph(five_tensor_net, "T4")
     a, b = single_entry(pg, "T3"), single_entry(pg, "T2")
-    assert fuse(a, b).C == a.C + a.T * b.C
-    assert fuse(a, b).T == a.T * b.T
+    assert C(fuse(a, b)) == C(a) + T(a) * C(b)
+    assert T(fuse(a, b)) == T(a) * T(b)
 
 
 # ------------------------------------------------------------ normalization
@@ -171,17 +198,17 @@ def test_normalize_cascades():
     out = normalize_chain(chain, pg)
     assert len(out) == 1
     assert out[0].members == ("B", "C", "D")
-    assert out[0].T == F(1, 2)
-    assert out[0].C == 11
-    assert out[0].rank.as_fraction() == F(-1, 22)
+    assert T(out[0]) == F(1, 2)
+    assert C(out[0]) == 11
+    assert rank(out[0]) == F(-1, 22)
 
 
 # ------------------------------------------------------------ linearization
 
 
 def test_merge_breaks_rank_ties_by_leading_id():
-    a = [entry("1/2", 2, "B", "Z")]
-    b = [entry("1/2", 2, "A")]
+    a = [entry(1, 2, 4, "B", "Z")]  # T = 1/2, C = 2
+    b = [entry(2, 4, 8, "A")]  # the same rank, unreduced
     merged = merge_children([a, b])
     assert [e.members[0] for e in merged] == ["A", "B"]
     assert merge_children([b, a]) == merged
@@ -192,8 +219,8 @@ def test_linearized_chain_five_tensor_t4(five_tensor_net):
     chain = linearized_chain(pg)
     assert len(chain) == 1
     assert chain[0].members == ("T4", "T3", "T2", "T5", "T1")
-    assert chain[0].T == 1
-    assert chain[0].C == 75
+    assert T(chain[0]) == 1
+    assert C(chain[0]) == 75
 
 
 def test_linearized_chain_ranks_nondecreasing():
@@ -205,8 +232,8 @@ def test_linearized_chain_ranks_nondecreasing():
         pg = build_precedence_graph(net, root)
         chain = linearized_chain(pg)
         for a, b in itertools.pairwise(chain):
-            assert a.rank < b.rank or (
-                a.rank == b.rank and a.members[0] < b.members[0]
+            assert rank(a) < rank(b) or (
+                rank(a) == rank(b) and a.members[0] < b.members[0]
             )
         assert normalize_chain(chain, pg) == chain  # already normalized
 
@@ -249,7 +276,7 @@ def _respects(pg, order):
 
 def test_gamma_identity():
     # evaluate_linear of a precedence-respecting order equals
-    # F(root) * C(rest) from the sequence calculus
+    # F(root) * C(rest) = F(root) * Cn / Q from the sequence calculus
     rng = random.Random(99)
     for _ in range(40):
         nodes, edges = random_tree_data(rng, rng.randint(2, 9), open_hi=3)
@@ -257,12 +284,12 @@ def test_gamma_identity():
         root = rng.choice(list(nodes))
         pg = build_precedence_graph(net, root)
         order = random_precedence_order(rng, nodes, edges, root)
-        C = F(0)
-        T = F(1)
-        for v in order[1:]:
-            C += T * pg.c[v]
-            T *= pg.t[v]
-        assert pg.F[root] * C == evaluate_linear(net, order).cost
+        rest = single_entry(pg, order[1])
+        for v in order[2:]:
+            rest = fuse(rest, single_entry(pg, v))
+        cost, rem = divmod(pg.F[root] * rest.Cn, rest.Q)
+        assert rem == 0
+        assert cost == evaluate_linear(net, order).cost
 
 
 # --------------------------------------------------------------- iks_order
@@ -321,3 +348,102 @@ def test_iks_order_deadline():
     net = to_network(nodes, edges)
     with pytest.raises(TimeoutError):
         iks_order(net, deadline=time.monotonic() - 1.0)
+
+
+def test_iks_order_deadline_fires_while_chains_are_built(monkeypatch):
+    # a clock that passes the deadline on its fourth reading, while the
+    # first pass still builds the 49 edge chains of the path
+    ticks = iter(range(100))
+    clock = types.SimpleNamespace(monotonic=lambda: next(ticks))
+    monkeypatch.setattr(tnorder.iks, "time", clock)
+    net = to_network(*shaped_tree(random.Random(0), "path", 50))
+    with pytest.raises(TimeoutError, match="deadline"):
+        iks_order(net, deadline=2)
+    assert next(ticks) == 4
+
+
+# ------------------------------------------- shared subtree chains (memo)
+
+
+def shaped_tree(rng, shape, n, dim_lo=1, dim_hi=9, open_hi=3):
+    """Tree data of a given shape; dim_lo=1 allows size-1 edges and
+    open_hi > 1 open legs. Edges come shuffled, so adjacency order is
+    arbitrary."""
+    nodes = {f"T{i + 1}": rng.randint(1, open_hi) for i in range(n)}
+    spine = max(1, n // 2)
+    edges = []
+    for i in range(1, n):
+        if shape == "path":
+            p = i - 1
+        elif shape == "star":
+            p = 0
+        elif shape == "caterpillar":
+            p = i - 1 if i < spine else rng.randrange(spine)
+        else:
+            p = rng.randrange(i)
+        edges.append((f"T{p + 1}", f"T{i + 1}", rng.randint(dim_lo, dim_hi)))
+    rng.shuffle(edges)
+    return nodes, edges
+
+
+def per_root_minimum(net):
+    # the reference: linearize every rooting afresh, keep the first
+    # strictly cheaper one in id order
+    best = None
+    for root in sorted(net.nodes):
+        order, cost = linearize_root(build_precedence_graph(net, root))
+        if best is None or cost < best[1]:
+            best = order, cost
+    return best
+
+
+SHAPES = ("random", "star", "path", "caterpillar")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 11),
+    st.sampled_from(SHAPES),
+    st.sampled_from([2, 4, 9]),
+    st.sampled_from([1, 3]),
+)
+def test_shared_chains_match_per_root_linearization(seed, n, shape, dim_hi, open_hi):
+    rng = random.Random(seed)
+    nodes, edges = shaped_tree(rng, shape, n, dim_hi=dim_hi, open_hi=open_hi)
+    net = to_network(nodes, edges)
+    order, cost = iks_order(net)
+    assert (order, cost) == per_root_minimum(net)
+    assert cost == dp_linear_optimal(net)[1]
+    assert evaluate_linear(net, order) == (cost, True)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_each_directed_edge_linearized_at_most_once(shape, monkeypatch):
+    calls = []
+    absorb = tnorder.iks._absorb
+
+    def counting(*args):
+        calls.append(args[0])
+        return absorb(*args)
+
+    monkeypatch.setattr(tnorder.iks, "_absorb", counting)
+    for n in (1, 2, 3, 10, 40):
+        calls.clear()
+        net = to_network(*shaped_tree(random.Random(n), shape, n))
+        iks_order(net)
+        assert len(calls) <= 2 * (n - 1)
+        # per-root linearization does n absorptions for each of n roots
+        calls.clear()
+        per_root_minimum(net)
+        assert len(calls) == n * n
+
+
+@pytest.mark.parametrize("shape", ["path", "star"])
+def test_1500_nodes_without_recursion(shape):
+    nodes, edges = shaped_tree(random.Random(1500), shape, 1500, dim_lo=2, dim_hi=10)
+    order, cost = iks_order(to_network(nodes, edges))
+    fresh = to_network(nodes, edges)
+    assert iks_order(fresh) == (order, cost)
+    assert linearize_root(build_precedence_graph(fresh, order[0])) == (order, cost)
+    assert evaluate_linear(fresh, order) == (cost, True)

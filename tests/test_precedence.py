@@ -10,6 +10,7 @@ from tnorder import (
     build_precedence_graph,
     format_precedence,
     node_quantities,
+    single_entry,
     subset_size,
 )
 from helpers import random_precedence_order, random_tree_data, to_network
@@ -19,11 +20,20 @@ F = Fraction
 
 def test_five_tensor_quantities_rooted_at_t4(five_tensor_net):
     pg = build_precedence_graph(five_tensor_net, "T4")
-    assert node_quantities(pg, "T4") == (1, 30, F(30), F(30))
-    assert node_quantities(pg, "T3") == (5, 5, F(1, 5), F(1))
-    assert node_quantities(pg, "T2") == (6, 12, F(1, 3), F(2))
-    assert node_quantities(pg, "T1") == (1, 1, F(1), F(1))
-    assert node_quantities(pg, "T5") == (2, 2, F(1, 2), F(1))
+    # (w, F, t, c) and the optimizer's integer form (P, Q, Cn) = (F, w^2, F*w)
+    expected = {
+        "T4": ((1, 30, F(30), F(30)), (30, 1, 30)),
+        "T3": ((5, 5, F(1, 5), F(1)), (5, 25, 25)),
+        "T2": ((6, 12, F(1, 3), F(2)), (12, 36, 72)),
+        "T1": ((1, 1, F(1), F(1)), (1, 1, 1)),
+        "T5": ((2, 2, F(1, 2), F(1)), (2, 4, 4)),
+    }
+    for v, (quantities, integer_form) in expected.items():
+        assert node_quantities(pg, v) == quantities
+        e = single_entry(pg, v)
+        assert (e.P, e.Q, e.Cn) == integer_form
+        assert F(e.P, e.Q) == quantities[2]  # t = P / Q
+        assert F(e.Cn, e.Q) == quantities[3]  # c = Cn / Q
 
 
 def test_five_tensor_shape_rooted_at_t4(five_tensor_net):
@@ -60,8 +70,13 @@ def test_quantities_are_exact_types(five_tensor_net):
     pg = build_precedence_graph(five_tensor_net, "T1")
     for v in pg.preorder:
         q = node_quantities(pg, v)
+        e = single_entry(pg, v)
         assert type(q.w) is int and type(q.F) is int
+        assert all(type(x) is int for x in (e.P, e.Q, e.Cn))
+        assert (e.P, e.Q, e.Cn) == (q.F, q.w * q.w, q.F * q.w)
         assert isinstance(q.t, Fraction) and isinstance(q.c, Fraction)
+        assert q.t == Fraction(e.P, e.Q)
+        assert q.c == Fraction(e.Cn, e.Q)
         assert q.c == q.t * q.w
         assert q.F == q.t * q.w * q.w
 
@@ -69,7 +84,8 @@ def test_quantities_are_exact_types(five_tensor_net):
 def test_root_has_unit_parent_edge(five_tensor_net):
     pg = build_precedence_graph(five_tensor_net, "T3")
     assert pg.w["T3"] == 1
-    assert pg.t["T3"] == pg.F["T3"] == pg.c["T3"] == 5
+    assert node_quantities(pg, "T3") == (1, 5, 5, 5)
+    assert single_entry(pg, "T3")[1:] == (5, 1, 5)
 
 
 def test_unknown_root_rejected(five_tensor_net):
@@ -103,15 +119,17 @@ def test_format_precedence_five_tensor(five_tensor_net):
 @given(st.integers(0, 2**32 - 1), st.integers(2, 9))
 def test_prefix_size_is_product_of_t(seed, n):
     # For any order respecting the rooting, the size of each contracted
-    # prefix equals the product of t over the prefix. This is the whole
-    # reason t exists.
+    # prefix equals the product of t = P / Q over the prefix. This is the
+    # whole reason t exists.
     rng = random.Random(seed)
     nodes, edges = random_tree_data(rng, n, dim_lo=1, dim_hi=7, open_hi=3)
     net = to_network(nodes, edges)
     root = rng.choice(list(nodes))
     pg = build_precedence_graph(net, root)
     order = random_precedence_order(rng, nodes, edges, root)
-    running = Fraction(1)
+    P = Q = 1
     for i, v in enumerate(order):
-        running *= pg.t[v]
-        assert running == subset_size(net, order[: i + 1])
+        e = single_entry(pg, v)
+        P *= e.P
+        Q *= e.Q
+        assert P == subset_size(net, order[: i + 1]) * Q
