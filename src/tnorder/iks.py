@@ -22,11 +22,14 @@ c(v) = F(v) / w(v). Entries hold these as unreduced integers
 (F, w^2, F * w), fusing is (Pa * Pb, Qa * Qb, Cna * Qb + Pa * Cnb), and
 rank(S) = (P - Q) / Cn. Since Cn > 0 always, ranks are compared by
 cross-multiplication, which never flips an inequality and never divides.
+A compound formed by a subtree root absorbing entries is kept over
+Q = w^2 of that root, with P the exact size of its tensor (see
+``_absorb``), so its integers do not grow with its member count.
 
 The chain of the subtree at v seen from its neighbour p depends only on
 the directed edge (v, p), so ``iks_order`` linearizes each directed edge
 at most once, 2(n - 1) in all, and every rooting reuses them; a rooting
-itself needs only the (P, Q, Cn) fold of its merged chain.
+itself is priced from the exact prefix costs of its merged chain.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ class SequenceEntry(NamedTuple):
     """A (possibly compound) tensor sequence with its exact integer form.
 
     ``P / Q`` is the prefix-size multiplier T and ``Cn / Q`` the relative
-    cost C of the sequence; the fractions are never reduced.
+    cost C of the sequence; the fractions are never reduced, and only
+    ratios of them carry meaning.
     """
 
     members: tuple[NodeId, ...]
@@ -160,19 +164,26 @@ def _absorb(
     root entry's, the pair is contradictory and the entry is fused in.
     Fusing on ties keeps the chain strictly sorted under (rank, leading
     id), which is what makes the merge order reproducible.
+
+    The root entry is kept as the exact size and cost of contracting v
+    and the fused entries in order (see ``_prefix_costs``): its T is
+    size / w^2 and its C is (F * w + cost) / w^2, so it is stored as
+    (size, w^2, F * w + cost). That is ``fuse``'s result without the
+    common factor it would carry, the product of the fused entries' Q,
+    which grows with every fuse while size and cost stay as large as
+    the tensors and costs themselves.
     """
-    head = _node_entry(v, F, w)
-    _, P, Q, Cn = head
-    parts = [head.members]
-    for entry in merged:
-        _, Pe, Qe, Cne = entry
-        if (Pe - Qe) * Cn > (P - Q) * Cne:  # not rank_leq(entry, head)
+    size, cost = F, 0
+    fused = 0
+    for _, Pe, Qe, Cne in merged:
+        # not rank_leq(entry, root entry)
+        if (Pe - Qe) * (F * w + cost) > (size - w * w) * Cne:
             break
-        parts.append(entry.members)
-        P, Q, Cn = P * Pe, Q * Qe, Cn * Qe + P * Cne  # fuse(head, entry)
-    fused = len(parts) - 1
-    if fused:
-        head = SequenceEntry(tuple(chain.from_iterable(parts)), P, Q, Cn)
+        cost += size * Cne // Qe
+        size = size * Pe // Qe
+        fused += 1
+    members = tuple(chain((v,), *(e.members for e in merged[:fused])))
+    head = SequenceEntry(members, size, w * w, F * w + cost)
     return [head, *merged[fused:]]
 
 

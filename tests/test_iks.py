@@ -221,6 +221,23 @@ def test_linearized_chain_five_tensor_t4(five_tensor_net):
     assert chain[0].members == ("T4", "T3", "T2", "T5", "T1")
     assert T(chain[0]) == 1
     assert C(chain[0]) == 75
+    # kept over the root's Q = w^2 = 1: P is the size of the contracted
+    # tensor, Cn = F(T4) + cost
+    assert chain[0][1:] == (1, 1, 30 + 45)
+
+
+def test_chain_entries_agree_with_fusing_their_members():
+    rng = random.Random(17)
+    for _ in range(60):
+        nodes, edges = random_tree_data(rng, rng.randint(2, 12), dim_lo=1, open_hi=3)
+        net = to_network(nodes, edges)
+        pg = build_precedence_graph(net, rng.choice(list(nodes)))
+        for e in linearized_chain(pg):
+            whole = single_entry(pg, e.members[0])
+            for v in e.members[1:]:
+                whole = fuse(whole, single_entry(pg, v))
+            assert (T(e), C(e)) == (T(whole), C(whole))
+            assert e.Q == pg.w[e.members[0]] ** 2
 
 
 def test_linearized_chain_ranks_nondecreasing():
