@@ -236,9 +236,11 @@ def linearize_root(pg: PrecedenceGraph) -> tuple[tuple[NodeId, ...], int]:
     return whole.members, C - pg.F[pg.root]
 
 
-def _rootings(
-    net: TensorNetwork, deadline: float | None
-) -> Iterator[tuple[NodeId, int, tuple[NodeId, ...], list[SequenceEntry], NodeId | None]]:
+# (root, cost, head, entries, skip), see _rootings
+Rooting = tuple[NodeId, int, tuple[NodeId, ...], list[SequenceEntry], NodeId | None]
+
+
+def _rootings(net: TensorNetwork, deadline: float | None) -> Iterator[Rooting]:
     """Cost of every rooting of a tree network, sharing subtree chains.
 
     ``edge[v, p]`` holds the chain of the subtree at v seen from its
@@ -311,7 +313,8 @@ def _rootings(
             if not at:
                 at = {e.members[0]: k for k, e in enumerate(merged)}
             k = at[u]
-            cost = F[u] * F[v] // w + F[u] * costs[k] // (w * w) + costs[-1] - costs[k + 1]
+            cost = F[u] * F[v] // w + F[u] * costs[k] // (w * w)
+            cost += costs[-1] - costs[k + 1]
             yield u, cost, (u, v), merged, u
 
 
