@@ -144,7 +144,7 @@ def merge_children(
 ) -> list[SequenceEntry]:
     """Merge rank-sorted chains into one rank-sorted chain.
 
-    Rank ties break on the smallest leading node id. Leading ids are
+    Ties in rank break on the smallest leading node id. Leading ids are
     distinct, so the result is the one ordering of all entries by
     (rank, leading id), whatever the order of the input chains.
     """
