@@ -171,8 +171,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         write_csv(records, sys.stdout)
         summary_stream = sys.stderr
     else:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            write_csv(records, fh)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                write_csv(records, fh)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.output}: {exc}") from None
         summary_stream = sys.stdout
     if args.chart is not None:
         _write(args.chart, render_chart(records))

@@ -7,9 +7,19 @@ best contraction tree that keeps the same left-to-right leaf order, in
 O(n^3), the matrix-chain recurrence generalized to arbitrary networks.
 
 Bit positions follow the network's node order, so reconstructed plans are
-reproducible for equal input files. The DPs take an optional ``deadline``
-(a ``time.monotonic()`` instant) checked once per subset, raising
-``TimeoutError`` so a partial table is discarded cleanly.
+reproducible for equal input files. The subset DPs take an optional
+``deadline`` (a ``time.monotonic()`` instant) checked once per subset,
+raising ``TimeoutError`` so a partial table is discarded cleanly.
+
+The split loops of ``dp_general_optimal`` and ``linearized_dp`` price a
+split of S into halves A and B only when it can beat the best split found
+so far. The legs A and B share divide both |A| and |B|, so cost(A, B) >=
+max(|A|, |B|); and since |S| = |A| |B| / shared^2, cost(A, B)^2 = |A| |B|
+|S|. With gap = best so far - best(A) - best(B), a split is skipped when
+gap <= max(|A|, |B|) or |A| |B| |S| >= gap^2, all in exact integers; only a
+split that strictly wins takes an isqrt for its cost. The scan order and
+the strict comparison are those of pricing every split, so ties still go
+to the first minimum and plans are the same.
 """
 
 from __future__ import annotations
@@ -131,16 +141,15 @@ def _subset_sizes(net: TensorNetwork) -> list[int]:
     return size
 
 
-def _pair_cost(size: Sequence[int], left: int, right: int) -> int:
-    """Contraction cost of two disjoint masks from subset sizes alone.
+def _split_cost(left: int, right: int, whole: int) -> int:
+    """Exact cost of contracting two disjoint parts, from three sizes.
 
-    The shared-leg product satisfies shared^2 = size(L) * size(R) /
-    size(L | R), a perfect square recovered exactly with isqrt. A
-    disconnected pair yields shared = 1, the outer-product convention.
+    With shared the product of the legs between the parts, whole =
+    left * right / shared^2 and cost = left * right / shared, so cost^2 =
+    left * right * whole, a perfect square recovered exactly with isqrt.
+    A disconnected pair has shared = 1, the outer-product convention.
     """
-    product = size[left] * size[right]
-    shared = math.isqrt(product // size[left | right])
-    return product // shared
+    return math.isqrt(left * right * whole)
 
 
 def dp_general_optimal(
@@ -149,10 +158,15 @@ def dp_general_optimal(
     """Optimal contraction tree over all full binary trees, by subset DP.
 
     best(S) minimizes best(S1) + best(S2) + cost(S1, S2) over every
-    two-way partition of S, enumerating all submasks (3^n work), bounded
-    at ``DP_GENERAL_MAX_NODES`` nodes. A partition whose halves share no
-    edge is priced as an outer product; such splits do win occasionally,
-    so nothing restricts the search to connected halves.
+    two-way partition of S (3^n work), bounded at ``DP_GENERAL_MAX_NODES``
+    nodes. Each partition is visited once, as S1 = low | s with low the
+    lowest bit of S and s descending over the proper submasks of S - low;
+    the first minimum in that order wins ties. A partition is priced only
+    if it can strictly win: it is skipped when the gap to the best so far
+    is at most max(|S1|, |S2|), a lower bound on its cost, or when
+    |S1| |S2| |S| >= gap^2, since cost^2 = |S1| |S2| |S|. A partition whose
+    halves share no edge is priced as an outer product; such splits do
+    win occasionally, so nothing restricts the search to connected halves.
     """
     n = len(net.nodes)
     if n > DP_GENERAL_MAX_NODES:
@@ -172,18 +186,29 @@ def dp_general_optimal(
         if mask & (mask - 1) == 0:
             continue  # a lone tensor costs nothing
         _check_deadline(deadline)
+        whole = size[mask]
         low = mask & -mask
-        cur: int | None = None
-        sub = (mask - 1) & mask
-        while sub:
-            if sub & low:  # keep the half holding the lowest bit: each
-                rest = mask ^ sub  # partition is seen exactly once
-                cost = best[sub] + best[rest] + _pair_cost(size, sub, rest)
-                if cur is None or cost < cur:
-                    cur = cost
-                    split[mask] = sub
-            sub = (sub - 1) & mask
+        high = mask ^ low
+        # each partition is seen once, as the half holding the lowest bit:
+        # low | s for s descending over the proper submasks of high
+        s = (high - 1) & high
+        sub = low | s
+        rest = mask ^ sub
+        cur = best[sub] + best[rest] + _split_cost(size[sub], size[rest], whole)
+        at = sub
+        while s:
+            s = (s - 1) & high
+            sub = low | s
+            rest = mask ^ sub
+            left, right = size[sub], size[rest]
+            part = best[sub] + best[rest]
+            gap = cur - part
+            if gap <= left or gap <= right or left * right * whole >= gap * gap:
+                continue  # cost >= max(left, right), cost^2 = left*right*whole
+            cur = part + _split_cost(left, right, whole)
+            at = sub
         best[mask] = cur
+        split[mask] = at
 
     def build(mask: int) -> TreeNode:
         if mask & (mask - 1) == 0:
@@ -199,10 +224,16 @@ def linearized_dp(
 ) -> tuple[TreeNode, int]:
     """Best contraction tree whose in-order leaves equal ``order``.
 
-    Interval DP over contiguous ranges of the order. Intervals may be
-    disconnected in the network; such splits are priced as outer
-    products, so the recurrence is total for any permutation. The result
-    never costs more than contracting ``order`` linearly.
+    Interval DP over contiguous ranges of the order, O(n^3) split points.
+    Intervals may be disconnected in the network; such splits are priced
+    as outer products, so the recurrence is total for any permutation.
+    The result never costs more than contracting ``order`` linearly.
+
+    Splits of [i, j] are scanned left to right and the first minimum wins
+    ties. A split at k is priced only if it can strictly win: with gap the
+    best so far minus (best[i][k] + best[k+1][j]), it is skipped when gap is
+    at most the larger half's size, a lower bound on its cost, or when
+    |left| |right| |whole| >= gap^2, since cost^2 = |left| |right| |whole|.
     """
     if isinstance(order, LinearPlan):
         seq = order.order
@@ -234,16 +265,20 @@ def linearized_dp(
     for length in range(2, n + 1):
         for i in range(n - length + 1):
             j = i + length - 1
-            cur: int | None = None
-            for k in range(i, j):
-                left, right = sz[i][k], sz[k + 1][j]
-                product = left * right
-                shared = math.isqrt(product // sz[i][j])
-                cost = best[i][k] + best[k + 1][j] + product // shared
-                if cur is None or cost < cur:
-                    cur = cost
-                    split[i][j] = k
+            sz_i, best_i = sz[i], best[i]
+            whole = sz_i[j]
+            cur = best[i + 1][j] + _split_cost(sz_i[i], sz[i + 1][j], whole)
+            at = i
+            for k in range(i + 1, j):
+                left, right = sz_i[k], sz[k + 1][j]
+                part = best_i[k] + best[k + 1][j]
+                gap = cur - part
+                if gap <= left or gap <= right or left * right * whole >= gap * gap:
+                    continue  # cost >= max(left, right), cost^2 = left*right*whole
+                cur = part + _split_cost(left, right, whole)
+                at = k
             best[i][j] = cur
+            split[i][j] = at
 
     def build(i: int, j: int) -> TreeNode:
         if i == j:

@@ -78,6 +78,16 @@ def test_gen_unwritable_output_is_a_validation_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_unwritable_output_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "x.csv"
+    code = main(["bench", "--sizes", "5", "--instances", "1",
+                 "--algorithms", "iks", "-o", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gen_rejects_bad_n(capsys):
     assert main(["gen", "--n", "1"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,7 +1,9 @@
+import math
 import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tnorder import (
     DP_GENERAL_MAX_NODES,
@@ -18,6 +20,7 @@ from tnorder import (
     linearized_dp,
     tree_leaves,
 )
+from tnorder import oracles
 from helpers import (
     min_linear_cost,
     min_tree_cost,
@@ -237,3 +240,161 @@ def test_tree_linear_sandwich():
         _, lifted_cost = linearized_dp(net, order)
         _, tree_cost = dp_general_optimal(net)
         assert tree_cost <= lifted_cost <= linear_cost
+
+
+# ------------------------------------------------- pruned split loops
+
+
+def _ref_size(net, members):
+    size = math.prod(net.open_mult[v] for v in members)
+    for u, v, s in net.edges:
+        if (u in members) != (v in members):
+            size *= s
+    return size
+
+
+def _ref_pair_cost(left, right, whole):
+    product = left * right
+    return product // math.isqrt(product // whole)
+
+
+def _ref_linearized_dp(net, seq):
+    """Unpruned interval recurrence: every split priced, first minimum kept."""
+    n = len(seq)
+    if n == 1:
+        return seq[0], 0
+    sz = [[_ref_size(net, set(seq[i:j + 1])) if i <= j else 0
+           for j in range(n)] for i in range(n)]
+    best = [[0] * n for _ in range(n)]
+    split = [[0] * n for _ in range(n)]
+    for length in range(2, n + 1):
+        for i in range(n - length + 1):
+            j = i + length - 1
+            cur = None
+            for k in range(i, j):
+                cost = best[i][k] + best[k + 1][j] + _ref_pair_cost(
+                    sz[i][k], sz[k + 1][j], sz[i][j]
+                )
+                if cur is None or cost < cur:
+                    cur, split[i][j] = cost, k
+            best[i][j] = cur
+
+    def build(i, j):
+        if i == j:
+            return seq[i]
+        k = split[i][j]
+        return (build(i, k), build(k + 1, j))
+
+    return build(0, n - 1), best[0][n - 1]
+
+
+def _ref_dp_general(net):
+    """Unpruned subset recurrence: every submask walked, the half holding
+    the lowest bit kept, every partition priced, first minimum kept."""
+    nodes = net.nodes
+    n = len(nodes)
+    if n == 1:
+        return nodes[0], 0
+    full = (1 << n) - 1
+    size = [_ref_size(net, {nodes[i] for i in range(n) if m >> i & 1})
+            for m in range(full + 1)]
+    best = [0] * (full + 1)
+    split = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        if mask & (mask - 1) == 0:
+            continue
+        low = mask & -mask
+        cur = None
+        sub = (mask - 1) & mask
+        while sub:
+            if sub & low:
+                rest = mask ^ sub
+                cost = best[sub] + best[rest] + _ref_pair_cost(
+                    size[sub], size[rest], size[mask]
+                )
+                if cur is None or cost < cur:
+                    cur, split[mask] = cost, sub
+            sub = (sub - 1) & mask
+        best[mask] = cur
+
+    def build(mask):
+        if mask & (mask - 1) == 0:
+            return nodes[mask.bit_length() - 1]
+        return (build(split[mask]), build(mask ^ split[mask]))
+
+    return build(full), best[full]
+
+
+def _tie_heavy_network(rng, n, dim_hi, extra_edges):
+    """Random tree plus loop edges; ids mixed int/str in shuffled order,
+    many size-1 edges and open legs so that split costs tie often."""
+    ids = [i if rng.random() < 0.5 else f"t{i}" for i in range(n)]
+    rng.shuffle(ids)
+
+    def dim():
+        return rng.choice((1, 1, 2, rng.randint(1, dim_hi)))
+
+    nodes = {v: dim() for v in ids}
+    edges = {}
+    for i in range(1, n):
+        edges[ids[i], ids[rng.randrange(i)]] = dim()
+    for _ in range(extra_edges if n > 2 else 0):
+        u, v = rng.sample(ids, 2)
+        if (u, v) not in edges and (v, u) not in edges:
+            edges[u, v] = dim()
+    return TensorNetwork(nodes, [(u, v, s) for (u, v), s in edges.items()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 9),
+    st.sampled_from([2, 3, 10, 10**20]),
+    st.integers(0, 6),
+)
+def test_pruned_dps_match_unpruned_recurrences(seed, n, dim_hi, extra):
+    # trees, costs and tie-breaks are exactly those of pricing every split
+    rng = random.Random(seed)
+    net = _tie_heavy_network(rng, n, dim_hi, extra)
+    order = list(net.nodes)
+    rng.shuffle(order)  # any permutation, connected prefixes or not
+    assert linearized_dp(net, order) == _ref_linearized_dp(net, tuple(order))
+    assert dp_general_optimal(net) == _ref_dp_general(net)
+
+
+def _count_split_costs(monkeypatch):
+    calls = [0]
+    priced = oracles._split_cost
+
+    def counting(left, right, whole):
+        calls[0] += 1
+        return priced(left, right, whole)
+
+    monkeypatch.setattr(oracles, "_split_cost", counting)
+    return calls
+
+
+def test_lin_dp_prices_few_splits(monkeypatch):
+    n = 64
+    net = generate_random_tree_network(n, seed=64)
+    order, _ = iks_order(net)
+    calls = _count_split_costs(monkeypatch)
+    linearized_dp(net, order)
+    splits = n * (n * n - 1) // 6
+    assert calls[0] <= splits // 4
+
+
+def test_dp_general_prices_few_partitions(monkeypatch):
+    n = 12
+    rng = random.Random(12)
+    tree = generate_random_tree_network(n, seed=12)
+    edges = list(tree.edges)
+    while len(edges) < n + 5:  # five loops on top of the tree
+        u, v = rng.sample(tree.nodes, 2)
+        if not tree.has_edge(u, v) and all({u, v} != {a, b} for a, b, _ in edges):
+            edges.append((u, v, rng.randint(2, 10)))
+    net = TensorNetwork(dict(tree.open_mult), edges)
+    calls = _count_split_costs(monkeypatch)
+    dp_general_optimal(net)
+    partitions = (3**n - 2 ** (n + 1) + 1) // 2
+    assert calls[0] <= partitions // 4
