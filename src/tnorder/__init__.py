@@ -8,115 +8,54 @@ harness. All cost arithmetic is exact arbitrary-precision integer
 arithmetic; identical inputs always produce identical outputs.
 """
 
-from .bench import (
-    BenchRecord,
-    SizeSummary,
-    format_summary,
-    read_csv,
-    render_chart,
-    run_benchmark,
-    summarize,
-    write_csv,
-)
-from .cost import (
-    LinearCostReport,
-    check_outer_product_free,
-    evaluate_linear,
-    evaluate_tree,
-    pair_contraction_cost,
-    subset_size,
-)
+from .bench import read_csv, render_chart, run_benchmark, summarize, write_csv
+from .cost import evaluate_linear, evaluate_tree
 from .generate import generate_random_tree_network
 from .heuristics import max_spanning_tree, order_arbitrary
-from .iks import (
-    SequenceEntry,
-    fuse,
-    iks_order,
-    linearize_root,
-    linearized_chain,
-    merge_children,
-    normalize_chain,
-    rank_leq,
-    single_entry,
-)
-from .network import NodeId, TensorNetwork, ValidationError, id_key, parse_network
+from .iks import SequenceEntry, fuse, iks_order, rank_leq, single_entry
+from .network import TensorNetwork, ValidationError, parse_network
 from .oracles import (
-    DP_GENERAL_MAX_NODES,
-    DP_LINEAR_MAX_NODES,
     SizeBoundError,
     dp_general_optimal,
     dp_linear_optimal,
     linearized_dp,
 )
-from .plans import (
-    ContractionPlan,
-    LinearPlan,
-    TreeNode,
-    TreePlan,
-    left_deep_tree,
-    parse_plan,
-    tree_leaves,
-    validate_plan,
-)
-from .precedence import (
-    NodeQuantities,
-    PrecedenceGraph,
-    build_precedence_graph,
-    format_precedence,
-    node_quantities,
-)
+from .plans import LinearPlan, TreePlan, parse_plan
+from .precedence import build_precedence_graph, format_precedence
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRecord",
-    "ContractionPlan",
-    "DP_GENERAL_MAX_NODES",
-    "DP_LINEAR_MAX_NODES",
-    "LinearCostReport",
-    "LinearPlan",
-    "NodeId",
-    "NodeQuantities",
-    "PrecedenceGraph",
-    "SequenceEntry",
-    "SizeBoundError",
-    "SizeSummary",
+    # network and plans
     "TensorNetwork",
-    "TreeNode",
-    "TreePlan",
     "ValidationError",
-    "build_precedence_graph",
-    "check_outer_product_free",
-    "dp_general_optimal",
+    "SizeBoundError",
+    "parse_network",
+    "LinearPlan",
+    "TreePlan",
+    "parse_plan",
+    "generate_random_tree_network",
+    # solvers
+    "iks_order",
     "dp_linear_optimal",
+    "dp_general_optimal",
+    "linearized_dp",
+    "order_arbitrary",
+    "max_spanning_tree",
+    # pricing
     "evaluate_linear",
     "evaluate_tree",
+    # rank calculus
+    "build_precedence_graph",
     "format_precedence",
-    "format_summary",
-    "fuse",
-    "generate_random_tree_network",
-    "id_key",
-    "iks_order",
-    "left_deep_tree",
-    "linearize_root",
-    "linearized_chain",
-    "linearized_dp",
-    "max_spanning_tree",
-    "merge_children",
-    "node_quantities",
-    "normalize_chain",
-    "order_arbitrary",
-    "pair_contraction_cost",
-    "parse_network",
-    "parse_plan",
-    "rank_leq",
-    "read_csv",
-    "render_chart",
-    "run_benchmark",
+    "SequenceEntry",
     "single_entry",
-    "subset_size",
-    "summarize",
-    "tree_leaves",
-    "validate_plan",
+    "fuse",
+    "rank_leq",
+    # benchmark harness
+    "run_benchmark",
     "write_csv",
+    "read_csv",
+    "summarize",
+    "render_chart",
 ]

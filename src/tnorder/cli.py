@@ -157,6 +157,10 @@ def _parse_sizes(text: str) -> list[int]:
 def _cmd_bench(args: argparse.Namespace) -> int:
     sizes = _parse_sizes(args.sizes)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    # create the outputs first, so a bad path fails now and not after the run
+    for path in (args.output, args.chart):
+        if path is not None:
+            _write(path, "")
     records = run_benchmark(
         sizes,
         args.instances,

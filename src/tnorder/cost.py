@@ -5,8 +5,9 @@ Cost model: contracting compound tensors X and Y costs
 the product of the sizes of all edges running between X and Y, and the
 size of a compound tensor S is the product of its members' open legs times
 the product of all edge sizes crossing the cut (S, rest). When X and Y
-share no edge the contraction is an outer product; the evaluator prices it
-with ``shared = 1`` and reports the plan as not outer-product-free.
+share no edge the contraction is an outer product, priced with
+``shared = 1``. Only ``evaluate_linear`` reports whether a plan is
+outer-product-free.
 
 All arithmetic is arbitrary-precision integer arithmetic. The divisions
 are exact by construction: every shared leg is a factor of both operand
@@ -15,25 +16,12 @@ sizes.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .network import NodeId, TensorNetwork, ValidationError
-from .plans import (
-    ContractionPlan,
-    LinearPlan,
-    TreeNode,
-    TreePlan,
-    validate_plan,
-)
+from .network import NodeId, TensorNetwork
+from .plans import LinearPlan, TreeNode, TreePlan, validate_plan
 
-__all__ = [
-    "LinearCostReport",
-    "check_outer_product_free",
-    "evaluate_linear",
-    "evaluate_tree",
-    "pair_contraction_cost",
-    "subset_size",
-]
+__all__ = ["LinearCostReport", "evaluate_linear", "evaluate_tree"]
 
 
 class LinearCostReport(NamedTuple):
@@ -41,65 +29,6 @@ class LinearCostReport(NamedTuple):
 
     cost: int
     outer_product_free: bool
-
-
-def _members(net: TensorNetwork, S: Iterable[NodeId], what: str) -> set[NodeId]:
-    members = set()
-    for v in S:
-        if v not in net.open_mult:
-            raise ValidationError(f"unknown node id {v!r} in {what}")
-        members.add(v)
-    if not members:
-        raise ValidationError(f"{what} must be non-empty")
-    return members
-
-
-def _subset_size(net: TensorNetwork, members: set[NodeId]) -> int:
-    size = 1
-    for v in members:
-        size *= net.open_mult[v]
-        for nbr, edge in net.adjacency[v].items():
-            if nbr not in members:
-                size *= edge
-    return size
-
-
-def _shared_product(net: TensorNetwork, X: set[NodeId], Y: set[NodeId]) -> int:
-    small, other = (X, Y) if len(X) <= len(Y) else (Y, X)
-    shared = 1
-    for v in small:
-        for nbr, edge in net.adjacency[v].items():
-            if nbr in other:
-                shared *= edge
-    return shared
-
-
-def subset_size(net: TensorNetwork, S: Iterable[NodeId]) -> int:
-    """Size of the compound tensor left after contracting the subset ``S``.
-
-    The product of ``open_mult`` over S times the product of the sizes of
-    all edges with exactly one endpoint in S. For S equal to the whole
-    network this is the product of all open legs.
-    """
-    return _subset_size(net, _members(net, S, "subset"))
-
-
-def pair_contraction_cost(
-    net: TensorNetwork, X: Iterable[NodeId], Y: Iterable[NodeId]
-) -> int:
-    """Cost of contracting the compound tensors over X and Y.
-
-    X and Y must be disjoint and non-empty. If no edge crosses between
-    them the contraction is an outer product and the shared product is 1.
-    """
-    xs = _members(net, X, "first operand")
-    ys = _members(net, Y, "second operand")
-    overlap = xs & ys
-    if overlap:
-        v = next(iter(overlap))
-        raise ValidationError(f"operands overlap: node {v!r} is in both")
-    shared = _shared_product(net, xs, ys)
-    return _subset_size(net, xs) * _subset_size(net, ys) // shared
 
 
 def evaluate_linear(
@@ -137,55 +66,35 @@ def evaluate_linear(
 
 def evaluate_tree(net: TensorNetwork, tree: TreePlan | TreeNode) -> int:
     """Total cost of a contraction tree: one pairwise contraction per
-    internal node, summed over the whole tree."""
+    internal node, summed over the whole tree.
+
+    The walk is iterative, so a tree of any depth is priced, and each
+    contraction merges the smaller member set into the larger one.
+    """
     root = tree.root if isinstance(tree, TreePlan) else tree
     validate_plan(net, TreePlan(root))
 
-    def walk(node: TreeNode) -> tuple[int, set[NodeId], int]:
+    total = 0
+    # post-order: (members, size) of every finished subtree, left first
+    done: list[tuple[set[NodeId], int]] = []
+    stack: list[tuple[TreeNode, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
         if not isinstance(node, tuple):
-            return 0, {node}, net.tensor_size(node)
-        lcost, lmem, lsize = walk(node[0])
-        rcost, rmem, rsize = walk(node[1])
-        shared = _shared_product(net, lmem, rmem)
-        step = lsize * rsize // shared
-        return lcost + rcost + step, lmem | rmem, step // shared
-
-    total, _, _ = walk(root)
+            done.append(({node}, net.tensor_size(node)))
+        elif not expanded:
+            stack += ((node, True), (node[1], False), (node[0], False))
+        else:
+            rmem, rsize = done.pop()
+            lmem, lsize = done.pop()
+            small, large = (lmem, rmem) if len(lmem) <= len(rmem) else (rmem, lmem)
+            shared = 1
+            for v in small:
+                for nbr, edge in net.adjacency[v].items():
+                    if nbr in large:
+                        shared *= edge
+            step = lsize * rsize // shared
+            total += step
+            large |= small
+            done.append((large, step // shared))
     return total
-
-
-def _as_plan(plan) -> ContractionPlan:
-    if isinstance(plan, (LinearPlan, TreePlan)):
-        return plan
-    if isinstance(plan, (list, tuple)):
-        if all(type(v) is int or type(v) is str for v in plan):
-            return LinearPlan(tuple(plan))
-        if isinstance(plan, tuple):
-            return TreePlan(plan)
-    raise ValidationError(f"not a contraction plan: {plan!r}")
-
-
-def check_outer_product_free(net: TensorNetwork, plan) -> bool:
-    """True iff every contraction step joins operands sharing at least one
-    edge. Edge existence is what counts; a size-1 edge still connects."""
-    plan = _as_plan(plan)
-    validate_plan(net, plan)
-    if isinstance(plan, LinearPlan):
-        members = {plan.order[0]}
-        for v in plan.order[1:]:
-            if not any(nbr in members for nbr in net.adjacency[v]):
-                return False
-            members.add(v)
-        return True
-
-    def walk(node: TreeNode) -> tuple[bool, set[NodeId]]:
-        if not isinstance(node, tuple):
-            return True, {node}
-        lok, lmem = walk(node[0])
-        rok, rmem = walk(node[1])
-        small, other = (lmem, rmem) if len(lmem) <= len(rmem) else (rmem, lmem)
-        joined = any(nbr in other for v in small for nbr in net.adjacency[v])
-        return lok and rok and joined, lmem | rmem
-
-    ok, _ = walk(plan.root)
-    return ok

@@ -49,7 +49,6 @@ __all__ = [
     "linearize_root",
     "linearized_chain",
     "merge_children",
-    "normalize_chain",
     "rank_leq",
     "single_entry",
 ]
@@ -73,13 +72,10 @@ class SequenceEntry(NamedTuple):
         return f"SequenceEntry(({names}), P={self.P}, Q={self.Q}, Cn={self.Cn})"
 
 
-def _node_entry(v: NodeId, F: int, w: int) -> SequenceEntry:
-    return SequenceEntry((v,), F, w * w, F * w)
-
-
 def single_entry(pg: PrecedenceGraph, v: NodeId) -> SequenceEntry:
     """The sequence consisting of node ``v`` alone."""
-    return _node_entry(v, pg.F[v], pg.w[v])
+    F, w = pg.F[v], pg.w[v]
+    return SequenceEntry((v,), F, w * w, F * w)
 
 
 def fuse(a: SequenceEntry, b: SequenceEntry) -> SequenceEntry:
@@ -96,35 +92,6 @@ def rank_leq(U: SequenceEntry, V: SequenceEntry) -> bool:
     always positive, so cross-multiplying preserves the inequality.
     """
     return (U.P - U.Q) * V.Cn <= (V.P - V.Q) * U.Cn
-
-
-def _required(a: SequenceEntry, b: SequenceEntry, pg: PrecedenceGraph) -> bool:
-    # b must follow a iff the precedence parent of b's head sits inside a
-    return pg.parent.get(b.members[0]) in a.members
-
-
-def normalize_chain(
-    chain: list[SequenceEntry], pg: PrecedenceGraph
-) -> list[SequenceEntry]:
-    """Fuse away precedence-contradictory adjacent pairs.
-
-    A pair (A, B) is contradictory when precedence forces A before B but
-    rank(A) > rank(B). Fusing may create new contradictions further left,
-    so entries are folded with a stack until none remain. A chain whose
-    ranks are already nondecreasing comes back unchanged.
-    """
-    out: list[SequenceEntry] = []
-    for entry in chain:
-        out.append(entry)
-        while (
-            len(out) > 1
-            and _required(out[-2], out[-1], pg)
-            and not rank_leq(out[-2], out[-1])
-        ):
-            b = out.pop()
-            a = out.pop()
-            out.append(fuse(a, b))
-    return out
 
 
 def _merge_cmp(a: SequenceEntry, b: SequenceEntry) -> int:

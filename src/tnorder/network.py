@@ -148,22 +148,6 @@ class TensorNetwork:
         # connected is an invariant, so the edge count alone decides
         return len(self.edges) == len(self.nodes) - 1
 
-    def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        return v in self.adjacency[u]
-
-    def edge_size(self, u: NodeId, v: NodeId) -> int:
-        try:
-            return self.adjacency[u][v]
-        except KeyError:
-            raise ValidationError(f"no edge between {u!r} and {v!r}") from None
-
-    def neighbors(self, v: NodeId) -> tuple[NodeId, ...]:
-        """Neighbor ids of ``v`` in edge file order."""
-        try:
-            return tuple(self.adjacency[v])
-        except KeyError:
-            raise ValidationError(f"unknown node id {v!r}") from None
-
     def tensor_size(self, v: NodeId) -> int:
         """Full size of the single tensor ``v``: open legs times shared legs."""
         size = self._tensor_size.get(v)

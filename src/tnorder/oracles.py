@@ -46,6 +46,18 @@ class SizeBoundError(ValueError):
     """The network exceeds a solver's hard size bound."""
 
 
+def _indexed(
+    net: TensorNetwork, seq: Sequence[NodeId]
+) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """Tensor sizes and neighbour lists of ``seq``'s nodes by position in
+    ``seq``: ``adj[i]`` holds (position, edge size) per neighbour of seq[i],
+    in edge file order."""
+    pos = {v: i for i, v in enumerate(seq)}
+    tsize = [net.tensor_size(v) for v in seq]
+    adj = [[(pos[u], s) for u, s in net.adjacency[v].items()] for v in seq]
+    return tsize, adj
+
+
 def _check_deadline(deadline: float | None) -> None:
     if deadline is not None and time.monotonic() > deadline:
         raise TimeoutError("deadline exceeded")
@@ -70,11 +82,7 @@ def dp_linear_optimal(
     nodes = net.nodes
     if n == 1:
         return (nodes[0],), 0
-    idx = {v: i for i, v in enumerate(nodes)}
-    adj: list[list[tuple[int, int]]] = [
-        [(idx[u], s) for u, s in net.adjacency[v].items()] for v in nodes
-    ]
-    tsize = [net.tensor_size(v) for v in nodes]
+    tsize, adj = _indexed(net, nodes)
 
     # mask -> (cost, prefix size, last node index; -1 marks a start node)
     best: dict[int, tuple[int, int, int]] = {
@@ -124,11 +132,7 @@ def dp_linear_optimal(
 def _subset_sizes(net: TensorNetwork) -> list[int]:
     """Exact compound-tensor size for every node-subset bitmask."""
     n = len(net.nodes)
-    idx = {v: i for i, v in enumerate(net.nodes)}
-    adj = [
-        [(idx[u], s) for u, s in net.adjacency[v].items()] for v in net.nodes
-    ]
-    tsize = [net.tensor_size(v) for v in net.nodes]
+    tsize, adj = _indexed(net, net.nodes)
     size = [1] * (1 << n)
     for mask in range(1, 1 << n):
         i = (mask & -mask).bit_length() - 1
@@ -243,11 +247,7 @@ def linearized_dp(
     n = len(seq)
     if n == 1:
         return seq[0], 0
-    pos = {v: i for i, v in enumerate(seq)}
-    tsize = [net.tensor_size(v) for v in seq]
-    adj = [
-        [(pos[u], s) for u, s in net.adjacency[v].items()] for v in seq
-    ]
+    tsize, adj = _indexed(net, seq)
 
     # sz[i][j]: compound size of seq[i..j], extended one node at a time
     sz = [[0] * n for _ in range(n)]

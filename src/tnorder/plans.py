@@ -26,7 +26,6 @@ __all__ = [
     "LinearPlan",
     "TreeNode",
     "TreePlan",
-    "left_deep_tree",
     "parse_plan",
     "tree_leaves",
     "validate_plan",
@@ -71,16 +70,6 @@ def tree_leaves(node: TreeNode) -> tuple[NodeId, ...]:
         else:
             raise ValidationError(f"tree leaf must be a node id, got {item!r}")
     return tuple(out)
-
-
-def left_deep_tree(order: tuple[NodeId, ...] | list[NodeId]) -> TreeNode:
-    """The contraction tree equivalent to contracting ``order`` linearly."""
-    if not order:
-        raise ValidationError("cannot build a tree from an empty order")
-    node: TreeNode = order[0]
-    for v in order[1:]:
-        node = (node, v)
-    return node
 
 
 def _tree_to_obj(node: TreeNode):

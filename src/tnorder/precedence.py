@@ -17,31 +17,17 @@ The rank ingredients are the rationals
 which the optimizer keeps as the unreduced integers (F, w^2, F * w) of
 its sequence entries (see ``iks``). t(v) < 1 is common and float
 comparisons could misorder near-ties, so nothing is ever rounded; t and
-c appear as exact ``Fraction``s only in ``node_quantities`` and
-``format_precedence``, which compute them on demand.
+c appear as exact ``Fraction``s only in ``format_precedence`` (the
+``order --trace`` dump), which computes them on demand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from .network import NodeId, TensorNetwork, ValidationError
 
-__all__ = [
-    "NodeQuantities",
-    "PrecedenceGraph",
-    "build_precedence_graph",
-    "format_precedence",
-    "node_quantities",
-]
-
-
-class NodeQuantities(NamedTuple):
-    w: int
-    F: int
-    t: Fraction
-    c: Fraction
+__all__ = ["PrecedenceGraph", "build_precedence_graph", "format_precedence"]
 
 
 class PrecedenceGraph:
@@ -102,15 +88,6 @@ def build_precedence_graph(net: TensorNetwork, root: NodeId) -> PrecedenceGraph:
     return PrecedenceGraph(net, root)
 
 
-def node_quantities(pg: PrecedenceGraph, v: NodeId) -> NodeQuantities:
-    """The exact quantities (w, F, t, c) of node ``v``."""
-    try:
-        w, F = pg.w[v], pg.F[v]
-    except KeyError:
-        raise ValidationError(f"unknown node id {v!r}") from None
-    return NodeQuantities(w, F, Fraction(F, w * w), Fraction(F, w))
-
-
 def format_precedence(pg: PrecedenceGraph) -> str:
     """Indented one-node-per-line debug dump of the arborescence."""
     depth = {pg.root: 0}
@@ -119,6 +96,7 @@ def format_precedence(pg: PrecedenceGraph) -> str:
         d = depth[v]
         for kid in pg.children[v]:
             depth[kid] = d + 1
-        w, F, t, c = node_quantities(pg, v)
+        w, F = pg.w[v], pg.F[v]
+        t, c = Fraction(F, w * w), Fraction(F, w)
         lines.append(f"{'  ' * d}{v}  w={w} F={F} t={t} c={c}")
     return "\n".join(lines)

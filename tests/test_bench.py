@@ -12,10 +12,15 @@ from tnorder import (
     render_chart,
     run_benchmark,
     summarize,
-    format_summary,
     write_csv,
 )
-from tnorder.bench import BENCH_ALGORITHMS, CSV_HEADER, BenchRecord, instance_seed
+from tnorder.bench import (
+    BENCH_ALGORITHMS,
+    CSV_HEADER,
+    BenchRecord,
+    format_summary,
+    instance_seed,
+)
 
 
 def strip_wall(records):

@@ -78,14 +78,19 @@ def test_gen_unwritable_output_is_a_validation_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_bench_unwritable_output_is_a_validation_error(tmp_path, capsys):
-    out = tmp_path / "no-such-dir" / "x.csv"
-    code = main(["bench", "--sizes", "5", "--instances", "1",
-                 "--algorithms", "iks", "-o", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "cannot write" in err and "Traceback" not in err
-    assert not out.exists()
+def test_bench_unwritable_output_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    def run_benchmark(*args, **kwargs):
+        pytest.fail("the benchmark ran before its output was opened")
+
+    monkeypatch.setattr("tnorder.cli.run_benchmark", run_benchmark)
+    out = tmp_path / "no-such-dir" / "x.out"
+    for flag in ("-o", "--chart"):
+        code = main(["bench", "--sizes", "5", "--instances", "1",
+                     "--algorithms", "iks", flag, str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot write" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_gen_rejects_bad_n(capsys):

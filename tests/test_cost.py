@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -8,20 +9,10 @@ from tnorder import (
     TensorNetwork,
     TreePlan,
     ValidationError,
-    check_outer_product_free,
     evaluate_linear,
     evaluate_tree,
-    left_deep_tree,
-    pair_contraction_cost,
-    subset_size,
 )
-from helpers import (
-    naive_linear,
-    naive_subset_size,
-    naive_tree,
-    random_tree_data,
-    to_network,
-)
+from helpers import naive_linear, naive_tree, random_tree_data, to_network
 
 
 @st.composite
@@ -45,39 +36,6 @@ def _random_full_tree(rng, leaves):
 
 
 # ------------------------------------------------------------ fixed cases
-
-
-def test_subset_size_five_tensor(five_tensor_net):
-    assert subset_size(five_tensor_net, ["T4"]) == 30
-    assert subset_size(five_tensor_net, ["T4", "T2"]) == 10
-    # contracting everything leaves a scalar here: no open legs anywhere
-    assert subset_size(five_tensor_net, five_tensor_net.nodes) == 1
-
-
-def test_subset_size_matches_oracle(five_tensor_net):
-    from helpers import five_tensor_data
-
-    nodes, edges = five_tensor_data()
-    assert subset_size(five_tensor_net, ["T4", "T2"]) == naive_subset_size(
-        nodes, edges, ["T4", "T2"]
-    )
-
-
-def test_pair_cost_matrix_chain(matrix_net):
-    assert pair_contraction_cost(matrix_net, ["A"], ["B"]) == 6000
-    assert pair_contraction_cost(matrix_net, ["A", "B"], ["C"]) == 10000
-    # A and C share nothing: outer product, priced with shared = 1
-    assert pair_contraction_cost(matrix_net, ["A"], ["C"]) == 300000
-
-
-def test_pair_cost_rejects_overlap(matrix_net):
-    with pytest.raises(ValidationError, match="both"):
-        pair_contraction_cost(matrix_net, ["A", "B"], ["B", "C"])
-
-
-def test_pair_cost_rejects_empty(matrix_net):
-    with pytest.raises(ValidationError):
-        pair_contraction_cost(matrix_net, [], ["C"])
 
 
 def test_evaluate_linear_matrix_chain(matrix_net):
@@ -120,30 +78,11 @@ def test_size_one_edge_still_connects(five_tensor_net):
     # T1-T2 has size 1; starting there must not read as an outer product
     report = evaluate_linear(five_tensor_net, ("T1", "T2", "T5", "T4", "T3"))
     assert report.outer_product_free
-    assert check_outer_product_free(five_tensor_net, ("T1", "T2", "T5", "T4", "T3"))
 
 
 def test_outer_step_detected(five_tensor_net):
     report = evaluate_linear(five_tensor_net, ("T1", "T3", "T2", "T4", "T5"))
     assert not report.outer_product_free
-    assert not check_outer_product_free(
-        five_tensor_net, ("T1", "T3", "T2", "T4", "T5")
-    )
-
-
-def test_check_op_free_input_shapes(five_tensor_net):
-    order = ("T1", "T2", "T5", "T4", "T3")
-    tree = (("T3", "T4"), (("T1", "T2"), "T5"))
-    assert check_outer_product_free(five_tensor_net, LinearPlan(order))
-    assert check_outer_product_free(five_tensor_net, list(order))
-    assert check_outer_product_free(five_tensor_net, TreePlan(tree))
-    assert check_outer_product_free(five_tensor_net, tree)
-    with pytest.raises(ValidationError):
-        check_outer_product_free(five_tensor_net, [["T3", "T4"], "T2"])
-
-
-def test_check_op_free_tree_with_outer_join(matrix_net):
-    assert not check_outer_product_free(matrix_net, (("A", "C"), "B"))
 
 
 # ------------------------------------------------- dual-route verification
@@ -179,23 +118,18 @@ def test_left_deep_tree_costs_like_linear(instance):
     net = to_network(nodes, edges)
     order = list(nodes)
     rng.shuffle(order)
-    assert evaluate_tree(net, left_deep_tree(order)) == evaluate_linear(
-        net, order
+    tree = functools.reduce(lambda acc, v: (acc, v), order)
+    assert evaluate_tree(net, tree) == evaluate_linear(net, order).cost
+
+
+def test_deep_trees_price_without_recursion():
+    # 5000 levels, far past the interpreter's recursion limit
+    n = 5000
+    net = TensorNetwork(range(n), [(i, i + 1, 2 + i % 3) for i in range(n - 1)])
+    order = list(range(n))
+    left_deep = functools.reduce(lambda acc, v: (acc, v), order)
+    right_deep = functools.reduce(lambda acc, v: (v, acc), reversed(order))
+    assert evaluate_tree(net, left_deep) == evaluate_linear(net, order).cost
+    assert evaluate_tree(net, TreePlan(right_deep)) == evaluate_linear(
+        net, order[::-1]
     ).cost
-
-
-@settings(max_examples=150, deadline=None)
-@given(tree_instances())
-def test_merge_size_identity(instance):
-    # size(X u Y) * shared^2 == size(X) * size(Y) for disjoint X, Y
-    nodes, edges, rng = instance
-    net = to_network(nodes, edges)
-    ids = list(nodes)
-    rng.shuffle(ids)
-    k = rng.randint(1, len(ids) - 1)
-    X, Y = ids[:k], ids[k:]
-    cost = pair_contraction_cost(net, X, Y)
-    sx, sy = subset_size(net, X), subset_size(net, Y)
-    shared = sx * sy // cost
-    assert subset_size(net, ids) * shared * shared == sx * sy
-    assert naive_subset_size(nodes, edges, X) == sx

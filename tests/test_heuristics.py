@@ -2,15 +2,14 @@ import random
 
 from tnorder import (
     TensorNetwork,
-    check_outer_product_free,
     dp_linear_optimal,
     evaluate_linear,
     iks_order,
     max_spanning_tree,
     order_arbitrary,
-    validate_plan,
     LinearPlan,
 )
+from tnorder.plans import validate_plan
 from helpers import random_tree_data, to_network
 
 
@@ -99,7 +98,7 @@ def test_order_arbitrary_four_cycle():
     )
     order, cost = order_arbitrary(net)
     assert evaluate_linear(net, order).cost == cost
-    assert check_outer_product_free(net, list(order))
+    assert evaluate_linear(net, order).outer_product_free
 
 
 def test_order_arbitrary_prices_on_original_network():

@@ -15,16 +15,12 @@ from tnorder import (
     build_precedence_graph,
     dp_linear_optimal,
     evaluate_linear,
-    check_outer_product_free,
     fuse,
     iks_order,
-    linearize_root,
-    linearized_chain,
-    merge_children,
-    normalize_chain,
     rank_leq,
     single_entry,
 )
+from tnorder.iks import linearize_root, linearized_chain, merge_children
 from helpers import (
     min_linear_cost,
     random_precedence_order,
@@ -173,36 +169,6 @@ def test_fuse_matches_cost_composition(five_tensor_net):
     assert T(fuse(a, b)) == T(a) * T(b)
 
 
-# ------------------------------------------------------------ normalization
-
-
-def test_normalize_is_fixpoint_on_sorted_chain(five_tensor_net):
-    pg = build_precedence_graph(five_tensor_net, "T4")
-    chain = [single_entry(pg, "T3"), single_entry(pg, "T2")]
-    assert normalize_chain(chain, pg) == chain
-
-
-def test_normalize_skips_non_required_inversions(five_tensor_net):
-    pg = build_precedence_graph(five_tensor_net, "T4")
-    # rank(T2) > rank(T3) but T3 is not required to follow T2
-    chain = [single_entry(pg, "T2"), single_entry(pg, "T3")]
-    assert normalize_chain(chain, pg) == chain
-
-
-def test_normalize_cascades():
-    net = TensorNetwork(
-        "ABCD", [("A", "B", 2), ("B", "C", 3), ("C", "D", 4)]
-    )
-    pg = build_precedence_graph(net, "A")
-    chain = [single_entry(pg, v) for v in "BCD"]
-    out = normalize_chain(chain, pg)
-    assert len(out) == 1
-    assert out[0].members == ("B", "C", "D")
-    assert T(out[0]) == F(1, 2)
-    assert C(out[0]) == 11
-    assert rank(out[0]) == F(-1, 22)
-
-
 # ------------------------------------------------------------ linearization
 
 
@@ -252,7 +218,6 @@ def test_linearized_chain_ranks_nondecreasing():
             assert rank(a) < rank(b) or (
                 rank(a) == rank(b) and a.members[0] < b.members[0]
             )
-        assert normalize_chain(chain, pg) == chain  # already normalized
 
 
 def test_linearize_root_five_tensor_t4(five_tensor_net):
@@ -342,7 +307,7 @@ def test_iks_order_matches_exhaustive_op_free_minimum():
         best_cost, _ = min_linear_cost(nodes, edges, op_free_only=True)
         assert cost == best_cost
         assert evaluate_linear(net, order).cost == cost
-        assert check_outer_product_free(net, list(order))
+        assert evaluate_linear(net, order).outer_product_free
 
 
 def test_iks_order_deterministic():

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from tnorder import TensorNetwork, ValidationError, id_key, parse_network
+from tnorder import TensorNetwork, ValidationError, parse_network
+from tnorder.network import id_key
 from helpers import five_tensor_data, matrix_chain_data
 
 
@@ -22,11 +23,11 @@ def test_edges_kept_verbatim(five_tensor_net):
 
 
 def test_adjacency_is_symmetric(five_tensor_net):
+    adjacency = five_tensor_net.adjacency
     for u, v, size in five_tensor_net.edges:
-        assert five_tensor_net.edge_size(u, v) == size
-        assert five_tensor_net.edge_size(v, u) == size
-        assert five_tensor_net.has_edge(u, v) and five_tensor_net.has_edge(v, u)
-    assert not five_tensor_net.has_edge("T1", "T3")
+        assert adjacency[u][v] == size
+        assert adjacency[v][u] == size
+    assert "T3" not in adjacency["T1"]
 
 
 def test_tensor_size_is_open_times_incident(matrix_net):
@@ -51,7 +52,7 @@ def test_is_tree(five_tensor_net):
 def test_integer_node_ids_work():
     net = TensorNetwork({1: 1, 2: 3}, [(1, 2, 4)])
     assert net.tensor_size(2) == 12
-    assert net.neighbors(1) == (2,)
+    assert list(net.adjacency[1]) == [2]
 
 
 def test_empty_network_rejected():
@@ -169,4 +170,4 @@ def test_node_file_order_does_not_change_sizes():
 
 def test_neighbors_follow_edge_order(five_tensor_net):
     # T2's edges appear as T1-T2, T5-T2, T2-T4 in the file
-    assert five_tensor_net.neighbors("T2") == ("T1", "T5", "T4")
+    assert list(five_tensor_net.adjacency["T2"]) == ["T1", "T5", "T4"]

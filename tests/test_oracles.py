@@ -6,11 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tnorder import (
-    DP_GENERAL_MAX_NODES,
-    DP_LINEAR_MAX_NODES,
     SizeBoundError,
     TensorNetwork,
-    check_outer_product_free,
     dp_general_optimal,
     dp_linear_optimal,
     evaluate_linear,
@@ -18,12 +15,15 @@ from tnorder import (
     generate_random_tree_network,
     iks_order,
     linearized_dp,
-    tree_leaves,
 )
 from tnorder import oracles
+from tnorder.oracles import DP_GENERAL_MAX_NODES, DP_LINEAR_MAX_NODES
+from tnorder.plans import tree_leaves
 from helpers import (
+    five_tensor_data,
     min_linear_cost,
     min_tree_cost,
+    naive_tree,
     random_tree_data,
     to_network,
 )
@@ -111,7 +111,7 @@ def test_dp_general_five_tensor(five_tensor_net):
     tree, cost = dp_general_optimal(five_tensor_net)
     assert cost == 45
     assert evaluate_tree(five_tensor_net, tree) == 45
-    assert check_outer_product_free(five_tensor_net, tree)
+    assert naive_tree(*five_tensor_data(), tree) == (45, True)
 
 
 def test_dp_general_matrix_chain(matrix_net):
@@ -148,7 +148,7 @@ def test_dp_general_takes_outer_product_when_cheaper():
     tree, cost = dp_general_optimal(net)
     assert cost == best_any
     assert evaluate_tree(net, tree) == cost
-    assert not check_outer_product_free(net, tree)
+    assert naive_tree(nodes, edges, tree) == (cost, False)
 
 
 def test_dp_general_never_above_dp_linear():
@@ -391,7 +391,7 @@ def test_dp_general_prices_few_partitions(monkeypatch):
     edges = list(tree.edges)
     while len(edges) < n + 5:  # five loops on top of the tree
         u, v = rng.sample(tree.nodes, 2)
-        if not tree.has_edge(u, v) and all({u, v} != {a, b} for a, b, _ in edges):
+        if v not in tree.adjacency[u] and all({u, v} != {a, b} for a, b, _ in edges):
             edges.append((u, v, rng.randint(2, 10)))
     net = TensorNetwork(dict(tree.open_mult), edges)
     calls = _count_split_costs(monkeypatch)

@@ -2,15 +2,8 @@ import json
 
 import pytest
 
-from tnorder import (
-    LinearPlan,
-    TreePlan,
-    ValidationError,
-    left_deep_tree,
-    parse_plan,
-    tree_leaves,
-    validate_plan,
-)
+from tnorder import LinearPlan, TreePlan, ValidationError, parse_plan
+from tnorder.plans import tree_leaves, validate_plan
 
 
 def test_linear_plan_json_round_trip():
@@ -48,12 +41,6 @@ def test_tree_leaves_rejects_non_pair():
         tree_leaves(("a",))
     with pytest.raises(ValidationError):
         tree_leaves((("a", "b"), 2.5))
-
-
-def test_left_deep_tree():
-    assert left_deep_tree(("a", "b", "c", "d")) == ((("a", "b"), "c"), "d")
-    assert left_deep_tree(("x",)) == "x"
-    assert tree_leaves(left_deep_tree(("p", "q", "r"))) == ("p", "q", "r")
 
 
 def test_validate_plan_accepts_exact_cover(five_tensor_net):

@@ -9,11 +9,14 @@ from tnorder import (
     ValidationError,
     build_precedence_graph,
     format_precedence,
-    node_quantities,
     single_entry,
-    subset_size,
 )
-from helpers import random_precedence_order, random_tree_data, to_network
+from helpers import (
+    naive_subset_size,
+    random_precedence_order,
+    random_tree_data,
+    to_network,
+)
 
 F = Fraction
 
@@ -29,7 +32,7 @@ def test_five_tensor_quantities_rooted_at_t4(five_tensor_net):
         "T5": ((2, 2, F(1, 2), F(1)), (2, 4, 4)),
     }
     for v, (quantities, integer_form) in expected.items():
-        assert node_quantities(pg, v) == quantities
+        assert (pg.w[v], pg.F[v]) == quantities[:2]
         e = single_entry(pg, v)
         assert (e.P, e.Q, e.Cn) == integer_form
         assert F(e.P, e.Q) == quantities[2]  # t = P / Q
@@ -69,34 +72,26 @@ def test_preorder_parents_first(five_tensor_net):
 def test_quantities_are_exact_types(five_tensor_net):
     pg = build_precedence_graph(five_tensor_net, "T1")
     for v in pg.preorder:
-        q = node_quantities(pg, v)
+        w, F = pg.w[v], pg.F[v]
         e = single_entry(pg, v)
-        assert type(q.w) is int and type(q.F) is int
+        assert type(w) is int and type(F) is int
         assert all(type(x) is int for x in (e.P, e.Q, e.Cn))
-        assert (e.P, e.Q, e.Cn) == (q.F, q.w * q.w, q.F * q.w)
-        assert isinstance(q.t, Fraction) and isinstance(q.c, Fraction)
-        assert q.t == Fraction(e.P, e.Q)
-        assert q.c == Fraction(e.Cn, e.Q)
-        assert q.c == q.t * q.w
-        assert q.F == q.t * q.w * q.w
+        assert (e.P, e.Q, e.Cn) == (F, w * w, F * w)
+        t, c = Fraction(e.P, e.Q), Fraction(e.Cn, e.Q)
+        assert c == t * w
+        assert F == t * w * w
 
 
 def test_root_has_unit_parent_edge(five_tensor_net):
     pg = build_precedence_graph(five_tensor_net, "T3")
     assert pg.w["T3"] == 1
-    assert node_quantities(pg, "T3") == (1, 5, 5, 5)
+    assert pg.F["T3"] == 5
     assert single_entry(pg, "T3")[1:] == (5, 1, 5)
 
 
 def test_unknown_root_rejected(five_tensor_net):
     with pytest.raises(ValidationError, match="unknown"):
         build_precedence_graph(five_tensor_net, "T7")
-
-
-def test_unknown_node_quantity_rejected(five_tensor_net):
-    pg = build_precedence_graph(five_tensor_net, "T4")
-    with pytest.raises(ValidationError):
-        node_quantities(pg, "nope")
 
 
 def test_non_tree_rejected():
@@ -132,4 +127,4 @@ def test_prefix_size_is_product_of_t(seed, n):
         e = single_entry(pg, v)
         P *= e.P
         Q *= e.Q
-        assert P == subset_size(net, order[: i + 1]) * Q
+        assert P == naive_subset_size(nodes, edges, order[: i + 1]) * Q
