@@ -81,25 +81,22 @@ def instance_seed(master_seed: int, n: int, instance: int) -> int:
     return master_seed + 1_000_000 * n + instance
 
 
-def _run_single(task: tuple) -> BenchRecord | None:
-    algorithm, n, instance, seed, timeout_ms, dim_lo, dim_hi = task
-    solver, bound = BENCH_ALGORITHMS[algorithm]
-    if bound is not None and n > bound:
-        return None
+def _run_single(
+    algorithm: str, n: int, instance: int, seed: int,
+    timeout_ms: int, dim_lo: int, dim_hi: int,
+) -> BenchRecord:
     net = generate_random_tree_network(n, seed, dim_lo, dim_hi)
     budget = timeout_ms / 1000.0
     deadline = time.monotonic() + budget
     start = time.perf_counter()
     try:
-        cost: int | None = solver(net, deadline)
-        wall = time.perf_counter() - start
-        timed_out = wall > budget
-        if timed_out:
-            cost = None
+        cost: int | None = BENCH_ALGORITHMS[algorithm][0](net, deadline)
     except TimeoutError:
-        wall = time.perf_counter() - start
         cost = None
-        timed_out = True
+    wall = time.perf_counter() - start
+    timed_out = cost is None or wall > budget
+    if timed_out:
+        cost = None
     return BenchRecord(algorithm, n, instance, seed, cost, round(wall * 1e6), timed_out)
 
 
@@ -112,13 +109,13 @@ def run_benchmark(
     master_seed: int = 0,
     dim_lo: int = 2,
     dim_hi: int = 10,
-    workers: int = 1,
 ) -> list[BenchRecord]:
     """Run every (algorithm, size, instance) combination under a budget.
 
-    Records come back sorted by (n, instance, algorithm) regardless of
-    worker count. With the same seeds, repeated runs differ only in
-    ``wall_time_us`` (and, near the budget boundary, which runs time out).
+    Runs go one at a time in this process, so no two timed runs compete
+    for a core. Records come back sorted by (n, instance, algorithm).
+    With the same seeds, repeated runs differ only in ``wall_time_us``
+    (and, near the budget boundary, which runs time out).
     """
     for name in algorithms:
         if name not in BENCH_ALGORITHMS:
@@ -134,22 +131,16 @@ def run_benchmark(
     if timeout_ms < 0:
         raise ValidationError("timeout must be non-negative")
 
-    tasks = [
-        (alg, n, inst, instance_seed(master_seed, n, inst), timeout_ms, dim_lo, dim_hi)
-        for n in sizes
-        for inst in range(instances)
-        for alg in algorithms
-    ]
-    if workers > 1:
-        # imported here: it pulls in multiprocessing, which every CLI call
-        # would otherwise pay for at start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_single, tasks))
-    else:
-        results = [_run_single(task) for task in tasks]
-    records = [r for r in results if r is not None]
+    records = []
+    for n in sizes:
+        for inst in range(instances):
+            seed = instance_seed(master_seed, n, inst)
+            for alg in algorithms:
+                bound = BENCH_ALGORITHMS[alg][1]
+                if bound is None or n <= bound:
+                    records.append(
+                        _run_single(alg, n, inst, seed, timeout_ms, dim_lo, dim_hi)
+                    )
     records.sort(key=lambda r: (r.n, r.instance, r.algorithm))
     return records
 

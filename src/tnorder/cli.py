@@ -10,13 +10,14 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from fractions import Fraction
 
 from .bench import format_summary, render_chart, run_benchmark, summarize, write_csv
 from .cost import evaluate_linear, evaluate_tree
 from .generate import generate_random_tree_network
-from .heuristics import order_arbitrary
+from .heuristics import max_spanning_tree, order_arbitrary
 from .iks import iks_order, linearize_root, linearized_chain
 from .network import TensorNetwork, ValidationError, id_key, parse_network
 from .oracles import (
@@ -35,7 +36,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
@@ -97,15 +98,11 @@ def _cmd_order(args: argparse.Namespace) -> int:
             if not isinstance(base, LinearPlan):
                 raise ValidationError("lin-dp needs a linear plan as its base order")
             base_order = base.order
-        elif net.is_tree:
-            base_order, _ = iks_order(net)
         else:
             base_order, _ = order_arbitrary(net)
         tree, cost = linearized_dp(net, base_order)
         plan = TreePlan(tree)
     else:  # mst-iks
-        from .heuristics import max_spanning_tree
-
         if args.trace:
             _emit_trace(max_spanning_tree(net), sys.stderr)
         order, cost = order_arbitrary(net)
@@ -169,20 +166,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         master_seed=args.master_seed,
         dim_lo=args.dim_lo,
         dim_hi=args.dim_hi,
-        workers=args.workers,
     )
-    if args.output is None:
-        write_csv(records, sys.stdout)
-        summary_stream = sys.stderr
-    else:
-        try:
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                write_csv(records, fh)
-        except OSError as exc:
-            raise ValidationError(f"cannot write {args.output}: {exc}") from None
-        summary_stream = sys.stdout
+    csv_text = io.StringIO()
+    write_csv(records, csv_text)
+    _write(args.output, csv_text.getvalue())
     if args.chart is not None:
         _write(args.chart, render_chart(records))
+    summary_stream = sys.stderr if args.output is None else sys.stdout
     print(format_summary(summarize(records)), file=summary_stream)
     return 0
 
@@ -212,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     order.add_argument(
         "--order",
         help="linear plan file used as the base order for lin-dp "
-        "(default: the tree optimizer's order)",
+        "(default: the mst-iks order, which is the iks order on trees)",
     )
     order.add_argument("-o", "--output", help="plan file (default stdout)")
     order.add_argument(
@@ -237,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--master-seed", type=int, default=0)
     bench.add_argument("--dim-lo", type=int, default=2)
     bench.add_argument("--dim-hi", type=int, default=10)
-    bench.add_argument("--workers", type=int, default=1)
     bench.add_argument("-o", "--output", help="CSV file (default stdout)")
     bench.add_argument("--chart", help="also write a two-panel SVG chart")
     bench.set_defaults(func=_cmd_bench)
@@ -246,6 +235,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # exact integers of any length; Python 3.10.7+ caps int <-> str at 4,300 digits
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except SizeBoundError as exc:

@@ -28,19 +28,20 @@ Q = w^2 of that root, with P the exact size of its tensor (see
 
 The chain of the subtree at v seen from its neighbour p depends only on
 the directed edge (v, p), so ``iks_order`` linearizes each directed edge
-at most once, 2(n - 1) in all, and every rooting reuses them; a rooting
-itself is priced from the exact prefix costs of its merged chain.
+at most once, 2(n - 1) in all, and every rooting reuses them. It shares
+its rooting, upward pass and pricing (exact prefix costs) with the
+per-root ``linearize_root``.
 """
 
 from __future__ import annotations
 
 import time
-from functools import cmp_to_key, reduce
+from functools import cmp_to_key
 from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .network import NodeId, TensorNetwork, ValidationError, id_key
-from .precedence import PrecedenceGraph
+from .precedence import PrecedenceGraph, build_precedence_graph
 
 __all__ = [
     "SequenceEntry",
@@ -173,19 +174,37 @@ def _prefix_costs(size: int, entries: list[SequenceEntry]) -> list[int]:
     return costs
 
 
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("deadline exceeded while trying rootings")
+
+
+def _upward_chains(
+    pg: PrecedenceGraph, deadline: float | None
+) -> dict[tuple[NodeId, NodeId], list[SequenceEntry]]:
+    """Chain of the subtree at each non-root v, at key (v, parent of v).
+
+    Built bottom-up: child chains are merged by rank, then the subtree
+    root is fused with the chain head while its rank is >= the head's.
+    """
+    chains: dict[tuple[NodeId, NodeId], list[SequenceEntry]] = {}
+    for v in reversed(pg.preorder[1:]):
+        _check_deadline(deadline)
+        kids = [chains[u, v] for u in pg.children[v]]
+        merged = merge_children(kids) if kids else []
+        chains[v, pg.parent[v]] = _absorb(v, pg.F[v], pg.w[v], merged)
+    return chains
+
+
 def linearized_chain(pg: PrecedenceGraph) -> list[SequenceEntry]:
     """Bottom-up linearization of a precedence graph, before expansion.
 
-    Every subtree is reduced to a rank-sorted chain: child chains are
-    merged by rank, then the subtree root is fused with the chain head
-    while its rank is >= the head's rank.
+    Every subtree is reduced to a rank-sorted chain (see
+    ``_upward_chains``), and the root is absorbed last over w = 1.
     """
-    chains: dict[NodeId, list[SequenceEntry]] = {}
-    for v in reversed(pg.preorder):
-        kids = pg.children[v]
-        merged = merge_children([chains.pop(u) for u in kids]) if kids else []
-        chains[v] = _absorb(v, pg.F[v], pg.w[v], merged)
-    return chains[pg.root]
+    root, chains = pg.root, _upward_chains(pg, None)
+    merged = merge_children([chains[u, root] for u in pg.children[root]])
+    return _absorb(root, pg.F[root], 1, merged)
 
 
 def linearize_root(pg: PrecedenceGraph) -> tuple[tuple[NodeId, ...], int]:
@@ -195,12 +214,10 @@ def linearize_root(pg: PrecedenceGraph) -> tuple[tuple[NodeId, ...], int]:
     outer-product-free (every prefix is connected by construction) and
     cost-minimal among all orders compatible with this rooting.
     """
-    whole = reduce(fuse, linearized_chain(pg))
-    # Gamma(order) = F(root) * C(order[1:]); the root entry contributes
-    # F(root) * (1 + C(rest)), so subtracting F(root) recovers the cost.
-    C, rem = divmod(whole.Cn, whole.Q)
-    assert rem == 0, "sequence calculus produced a non-integer cost"
-    return whole.members, C - pg.F[pg.root]
+    head, *rest = linearized_chain(pg)
+    # the root entry is (its size, Q = 1, F(root) + its cost), see _absorb
+    cost = head.Cn - pg.F[pg.root] + _prefix_costs(head.P, rest)[-1]
+    return (*head.members, *(v for e in rest for v in e.members)), cost
 
 
 # (root, cost, head, entries, skip), see _rootings
@@ -211,11 +228,11 @@ def _rootings(net: TensorNetwork, deadline: float | None) -> Iterator[Rooting]:
     """Cost of every rooting of a tree network, sharing subtree chains.
 
     ``edge[v, p]`` holds the chain of the subtree at v seen from its
-    neighbour p. A first pass, from an arbitrary start node, fills the
-    edges pointing at the start bottom-up. A second pass, top-down, has
-    every edge into v on hand when it reaches v, merges them all once
-    and derives each edge out of v by dropping one neighbour's entries
-    from that merge. Both passes are iterative.
+    neighbour p. A first pass, ``_upward_chains`` from the first node,
+    fills the edges pointing at it. A second pass, top-down, has every
+    edge into v on hand when it reaches v, merges them all once and
+    derives each edge out of v by dropping one neighbour's entries from
+    that merge. Both passes are iterative.
 
     Fusing never reorders members, so the order rooted at v is v followed
     by v's merged chain expanded, and its cost is a sum over that chain's
@@ -227,47 +244,23 @@ def _rootings(net: TensorNetwork, deadline: float | None) -> Iterator[Rooting]:
     followed by the members of ``entries``, leaving out the entry led
     by ``skip``.
     """
-    adjacency = net.adjacency
-    F = {v: net.tensor_size(v) for v in net.nodes}
-    start = net.nodes[0]
-    parent: dict[NodeId, NodeId | None] = {start: None}
-    preorder: list[NodeId] = []
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        preorder.append(u)
-        for v in adjacency[u]:
-            if v != parent[u]:
-                parent[v] = u
-                stack.append(v)
-
-    def check_deadline() -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("deadline exceeded while trying rootings")
-
-    edge: dict[tuple[NodeId, NodeId], list[SequenceEntry]] = {}
-    for v in reversed(preorder[1:]):
-        check_deadline()
-        p = parent[v]
-        kids = [edge[u, v] for u in adjacency[v] if u != p]
-        merged = merge_children(kids) if kids else []
-        edge[v, p] = _absorb(v, F[v], adjacency[v][p], merged)
-
-    for v in preorder:
-        if v != start and len(adjacency[v]) == 1:
+    pg = build_precedence_graph(net, net.nodes[0])
+    F, children = pg.F, pg.children
+    edge = _upward_chains(pg, deadline)
+    for v in pg.preorder:
+        if v != pg.root and not children[v]:
             continue  # a leaf: rooted at its parent's step below
-        check_deadline()
-        incoming = {u: edge.pop((u, v)) for u in adjacency[v]}
-        merged = merge_children(list(incoming.values())) if incoming else []
+        _check_deadline(deadline)
+        incoming = {u: edge.pop((u, v)) for u in net.adjacency[v]}
+        merged = merge_children(list(incoming.values()))
         costs = _prefix_costs(F[v], merged)
         yield v, costs[-1], (v,), merged, None
 
         at: dict[NodeId, int] = {}
-        for u, w in adjacency[v].items():
-            if u == parent[v]:
-                continue
-            check_deadline()
-            if len(adjacency[u]) > 1:
+        for u in children[v]:
+            _check_deadline(deadline)
+            w = pg.w[u]
+            if children[u]:
                 skip = {e.members[0] for e in incoming[u]}
                 rest = [e for e in merged if e.members[0] not in skip]
                 edge[v, u] = _absorb(v, F[v], w, rest)

@@ -45,7 +45,7 @@ class TreePlan:
     root: TreeNode
 
     def to_json(self) -> str:
-        return json.dumps({"type": "tree", "root": _tree_to_obj(self.root)})
+        return json.dumps({"type": "tree", "root": self.root})
 
 
 ContractionPlan = Union[LinearPlan, TreePlan]
@@ -72,12 +72,6 @@ def tree_leaves(node: TreeNode) -> tuple[NodeId, ...]:
     return tuple(out)
 
 
-def _tree_to_obj(node: TreeNode):
-    if isinstance(node, tuple):
-        return [_tree_to_obj(node[0]), _tree_to_obj(node[1])]
-    return node
-
-
 def _tree_from_obj(obj) -> TreeNode:
     if isinstance(obj, list):
         if len(obj) != 2:
@@ -94,6 +88,8 @@ def parse_plan(text: str) -> ContractionPlan:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"plan is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError("plan is nested too deeply to parse") from None
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValidationError("plan file must be an object with a 'type' field")
     kind = obj["type"]
@@ -105,7 +101,10 @@ def parse_plan(text: str) -> ContractionPlan:
     if kind == "tree":
         if "root" not in obj:
             raise ValidationError("tree plan must have a 'root' field")
-        return TreePlan(_tree_from_obj(obj["root"]))
+        try:
+            return TreePlan(_tree_from_obj(obj["root"]))
+        except RecursionError:
+            raise ValidationError("tree plan is nested too deeply") from None
     raise ValidationError(f"unknown plan type {kind!r}")
 
 

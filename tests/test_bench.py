@@ -60,12 +60,6 @@ def test_rerun_reproduces_everything_but_wall_time():
     assert strip_wall(a) == strip_wall(b)
 
 
-def test_workers_do_not_change_results():
-    a = run_benchmark([5, 6], instances=2, workers=1)
-    b = run_benchmark([5, 6], instances=2, workers=2)
-    assert strip_wall(a) == strip_wall(b)
-
-
 def test_zero_budget_times_everything_out():
     records = run_benchmark([5], instances=2, timeout_ms=0, algorithms=["iks"])
     assert len(records) == 2

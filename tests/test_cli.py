@@ -7,12 +7,17 @@ import pytest
 
 from tnorder import (
     LinearPlan,
+    TensorNetwork,
+    TreePlan,
     evaluate_linear,
     generate_random_tree_network,
+    linearized_dp,
+    order_arbitrary,
     parse_network,
     parse_plan,
     read_csv,
 )
+from tnorder.bench import BenchRecord
 from tnorder.cli import main
 from helpers import five_tensor_data, matrix_chain_data, to_network
 
@@ -136,6 +141,17 @@ def test_order_lin_dp_defaults_to_tree_optimum(five_tensor_file, capsys):
     assert cost_line == "45"
 
 
+def test_order_lin_dp_defaults_to_mst_iks_off_trees(tmp_path, capsys):
+    tree = generate_random_tree_network(12, 5)
+    extra = [("T1", "T7", 6), ("T3", "T12", 2), ("T5", "T9", 9), ("T2", "T11", 4)]
+    net = TensorNetwork(tree.open_mult, [*tree.edges, *extra])
+    net_file = tmp_path / "loopy.json"
+    net_file.write_text(net.to_json())
+    assert main(["order", "--algorithm", "lin-dp", "--network", str(net_file)]) == 0
+    tree_plan, cost = linearized_dp(net, order_arbitrary(net)[0])
+    assert capsys.readouterr().out == f"{TreePlan(tree_plan).to_json()}\n{cost}\n"
+
+
 def test_order_lin_dp_with_explicit_base(matrix_file, tmp_path, capsys):
     base = tmp_path / "base.json"
     base.write_text(LinearPlan(("A", "C", "B")).to_json())
@@ -200,6 +216,19 @@ def test_order_trace_note_for_other_algorithms(five_tensor_file, capsys):
     assert "--trace applies" in capsys.readouterr().err
 
 
+def test_readme_quick_start(tmp_path, capsys):
+    net_file, plan_file = tmp_path / "net.json", tmp_path / "plan.json"
+    assert main(["gen", "--n", "4", "--seed", "3", "-o", str(net_file)]) == 0
+    assert main(["order", "--algorithm", "iks", "--network", str(net_file),
+                 "-o", str(plan_file)]) == 0
+    assert capsys.readouterr().out == "213\n"
+    assert plan_file.read_text() == (
+        '{"type": "linear", "order": ["T2", "T3", "T1", "T4"]}\n'
+    )
+    assert main(["cost", "--network", str(net_file), "--plan", str(plan_file)]) == 0
+    assert capsys.readouterr().out == "213\n"
+
+
 def test_missing_network_file(capsys):
     assert main(["order", "--algorithm", "iks", "--network", "/no/such.json"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -219,6 +248,28 @@ def test_semantic_network_error_is_surfaced(tmp_path, capsys):
                    '"edges": [{"u": "a", "v": "b", "size": -2}]}')
     assert main(["order", "--algorithm", "iks", "--network", str(bad)]) == 2
     assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_undecodable_files_are_validation_errors(
+    five_tensor_file, tmp_path, capsys
+):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"nodes": [{"id": "\u00e9"}], "edges": []}'.encode("latin-1"))
+    assert main(["order", "--algorithm", "iks", "--network", str(bad)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+    assert main(["cost", "--network", five_tensor_file, "--plan", str(bad)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_over_deep_tree_plan_is_a_validation_error(tmp_path, capsys):
+    net_file, plan_file = tmp_path / "net.json", tmp_path / "plan.json"
+    net_file.write_text(generate_random_tree_network(1500, 0).to_json())
+    plan_file.write_text(
+        '{"type": "tree", "root": ' + "[" * 1499 + '"T1"'
+        + "".join(f', "T{i}"]' for i in range(2, 1501)) + "}"
+    )
+    assert main(["cost", "--network", str(net_file), "--plan", str(plan_file)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def test_unknown_algorithm_is_a_usage_error(five_tensor_file):
@@ -289,6 +340,24 @@ def test_bench_stdout_csv_summary_to_stderr(capsys):
     assert "mean_wall_us" in captured.err
 
 
+def test_bench_output_file_matches_stdout_csv(tmp_path, capsys, monkeypatch):
+    records = [
+        BenchRecord("dp-linear", 5, 0, 5000000, 10**40 + 1, 123, False),
+        BenchRecord("iks", 5, 0, 5000000, None, 456, True),
+    ]
+    monkeypatch.setattr("tnorder.cli.run_benchmark", lambda *a, **k: records)
+    argv = ["bench", "--sizes", "5", "--instances", "1"]
+    assert main(argv) == 0
+    stdout_csv = capsys.readouterr().out
+    csv_file = tmp_path / "results.csv"
+    assert main([*argv, "-o", str(csv_file)]) == 0
+    assert csv_file.read_bytes() == stdout_csv.encode()
+    assert stdout_csv.splitlines()[1:] == [
+        f"dp-linear,5,0,5000000,{10**40 + 1},123,false",
+        "iks,5,0,5000000,,456,true",
+    ]
+
+
 def test_bench_size_list_parsing(capsys):
     code = main(["bench", "--sizes", "5,7", "--instances", "1",
                  "--algorithms", "iks"])
@@ -321,6 +390,37 @@ def test_module_entry_point(five_tensor_file, tmp_path):
     )
     assert run.returncode == 0
     assert run.stdout.strip().splitlines()[-1] == "45"
+
+
+def test_integers_past_4300_digits(tmp_path):
+    # Python 3.10.7+ refuses int <-> str conversions past 4,300 digits by
+    # default; run in a subprocess so this process keeps its own limit.
+    # A 5,001-digit edge size, and 3,000-digit sizes whose outer-product
+    # plan costs 2 * (10**2999 + 1)**2, a 5,999-digit integer
+    big = "1" + "0" * 4999 + "7"
+    mid = "1" + "0" * 2998 + "1"
+    two = '{"nodes": [{"id": "A"}, {"id": "B"}], '
+    two += '"edges": [{"u": "A", "v": "B", "size": ' + big + "}]}"
+    path = '{"nodes": [{"id": "A"}, {"id": "B"}, {"id": "C"}], "edges": ['
+    path += '{"u": "A", "v": "B", "size": ' + mid + "}, "
+    path += '{"u": "B", "v": "C", "size": ' + mid + "}]}"
+    plan = '{"type": "linear", "order": ["A", "C", "B"]}'
+    files = {"two": two, "path": path, "plan": plan}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    two, path, plan = (str(tmp_path / name) for name in files)
+    cases = [
+        (["order", "--algorithm", "iks", "--network", two], big),
+        (["cost", "--network", path, "--plan", plan],
+         "2" + "0" * 2998 + "4" + "0" * 2998 + "2"),
+    ]
+    for argv, cost in cases:
+        run = subprocess.run(
+            [sys.executable, "-m", "tnorder", *argv], capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        assert "Traceback" not in run.stderr
+        assert run.stdout.splitlines()[-1] == cost
 
 
 def test_console_script_help():

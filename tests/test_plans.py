@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -16,6 +17,7 @@ def test_linear_plan_json_round_trip():
 
 def test_tree_plan_json_round_trip():
     plan = TreePlan((("A", "B"), ("C", ("D", "E"))))
+    assert plan.to_json() == '{"type": "tree", "root": [["A", "B"], ["C", ["D", "E"]]]}'
     again = parse_plan(plan.to_json())
     assert again == plan
     assert isinstance(again, TreePlan)
@@ -29,6 +31,23 @@ def test_parse_plan_rejects_unknown_type():
 def test_parse_plan_rejects_bad_tree_arity():
     with pytest.raises(ValidationError):
         parse_plan('{"type": "tree", "root": [["a", "b", "c"], "d"]}')
+
+
+def test_parse_plan_rejects_trees_nested_past_the_recursion_limit():
+    # json.loads and the conversion to nested tuples both recurse, and near
+    # the limit either may give out first: each must end in ValidationError
+    limit = sys.getrecursionlimit()
+    outcomes = set()
+    for depth in range(limit - 200, limit + 50):
+        text = '{"type": "tree", "root": ' + "[" * depth + '"L"'
+        text += ', "R"]' * depth + "}"
+        try:
+            parse_plan(text)
+            outcomes.add("parsed")
+        except ValidationError as exc:
+            assert "nested too deeply" in str(exc)
+            outcomes.add("rejected")
+    assert outcomes == {"parsed", "rejected"}
 
 
 def test_tree_leaves_in_left_to_right_order():
