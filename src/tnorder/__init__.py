@@ -8,54 +8,58 @@ harness. All cost arithmetic is exact arbitrary-precision integer
 arithmetic; identical inputs always produce identical outputs.
 """
 
-from .bench import read_csv, render_chart, run_benchmark, summarize, write_csv
-from .cost import evaluate_linear, evaluate_tree
-from .generate import generate_random_tree_network
-from .heuristics import max_spanning_tree, order_arbitrary
-from .iks import SequenceEntry, fuse, iks_order, rank_leq, single_entry
-from .network import TensorNetwork, ValidationError, parse_network
-from .oracles import (
-    SizeBoundError,
-    dp_general_optimal,
-    dp_linear_optimal,
-    linearized_dp,
-)
-from .plans import LinearPlan, TreePlan, parse_plan
-from .precedence import build_precedence_graph, format_precedence
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
+# public name -> the module defining it; each module is imported on first
+# use of one of its names, so ``import tnorder`` loads none of them
+_EXPORTS = {
     # network and plans
-    "TensorNetwork",
-    "ValidationError",
-    "SizeBoundError",
-    "parse_network",
-    "LinearPlan",
-    "TreePlan",
-    "parse_plan",
-    "generate_random_tree_network",
+    "TensorNetwork": "network",
+    "ValidationError": "network",
+    "SizeBoundError": "network",
+    "parse_network": "network",
+    "LinearPlan": "plans",
+    "TreePlan": "plans",
+    "parse_plan": "plans",
+    "generate_random_tree_network": "generate",
     # solvers
-    "iks_order",
-    "dp_linear_optimal",
-    "dp_general_optimal",
-    "linearized_dp",
-    "order_arbitrary",
-    "max_spanning_tree",
+    "iks_order": "iks",
+    "dp_linear_optimal": "oracles",
+    "dp_general_optimal": "oracles",
+    "linearized_dp": "oracles",
+    "order_arbitrary": "heuristics",
+    "max_spanning_tree": "heuristics",
     # pricing
-    "evaluate_linear",
-    "evaluate_tree",
+    "evaluate_linear": "cost",
+    "evaluate_tree": "cost",
     # rank calculus
-    "build_precedence_graph",
-    "format_precedence",
-    "SequenceEntry",
-    "single_entry",
-    "fuse",
-    "rank_leq",
+    "build_precedence_graph": "precedence",
+    "format_precedence": "precedence",
+    "SequenceEntry": "iks",
+    "single_entry": "iks",
+    "fuse": "iks",
+    "rank_leq": "iks",
     # benchmark harness
-    "run_benchmark",
-    "write_csv",
-    "read_csv",
-    "summarize",
-    "render_chart",
-]
+    "run_benchmark": "bench",
+    "write_csv": "bench",
+    "read_csv": "bench",
+    "summarize": "bench",
+    "render_chart": "bench",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

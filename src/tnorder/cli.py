@@ -12,22 +12,15 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from fractions import Fraction
 
-from .bench import format_summary, render_chart, run_benchmark, summarize, write_csv
-from .cost import evaluate_linear, evaluate_tree
-from .generate import generate_random_tree_network
-from .heuristics import max_spanning_tree, order_arbitrary
-from .iks import iks_order, linearize_root, linearized_chain
-from .network import TensorNetwork, ValidationError, id_key, parse_network
-from .oracles import (
+# each subcommand imports the modules it runs, so a call loads no others
+from .network import (
     SizeBoundError,
-    dp_general_optimal,
-    dp_linear_optimal,
-    linearized_dp,
+    TensorNetwork,
+    ValidationError,
+    id_key,
+    parse_network,
 )
-from .plans import LinearPlan, TreePlan, parse_plan
-from .precedence import build_precedence_graph, format_precedence
 
 __all__ = ["main"]
 
@@ -52,16 +45,23 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .generate import generate_random_tree_network
+
     net = generate_random_tree_network(args.n, args.seed, args.dim_lo, args.dim_hi)
     _write(args.output, net.to_json() + "\n")
     return 0
 
 
 def _emit_trace(net: TensorNetwork, stream) -> None:
+    from fractions import Fraction
+
+    from .iks import _order_and_cost, linearized_chain
+    from .precedence import build_precedence_graph, format_precedence
+
     for root in sorted(net.nodes, key=id_key):
         pg = build_precedence_graph(net, root)
         chain = linearized_chain(pg)
-        order, cost = linearize_root(pg)
+        order, cost = _order_and_cost(pg, chain)
         print(f"== root {root}: cost {cost}", file=stream)
         print(format_precedence(pg), file=stream)
         print("chain:", file=stream)
@@ -75,6 +75,8 @@ def _emit_trace(net: TensorNetwork, stream) -> None:
 
 
 def _cmd_order(args: argparse.Namespace) -> int:
+    from .plans import LinearPlan, TreePlan
+
     net = parse_network(_read(args.network))
     algorithm = args.algorithm
     if args.trace and algorithm not in ("iks", "mst-iks"):
@@ -82,17 +84,27 @@ def _cmd_order(args: argparse.Namespace) -> int:
 
     plan: LinearPlan | TreePlan
     if algorithm == "iks":
+        from .iks import iks_order
+
         if args.trace:
             _emit_trace(net, sys.stderr)
         order, cost = iks_order(net)
         plan = LinearPlan(order)
     elif algorithm == "dp-linear":
+        from .oracles import dp_linear_optimal
+
         order, cost = dp_linear_optimal(net)
         plan = LinearPlan(order)
     elif algorithm == "dp-general":
+        from .oracles import dp_general_optimal
+
         tree, cost = dp_general_optimal(net)
         plan = TreePlan(tree)
     elif algorithm == "lin-dp":
+        from .heuristics import order_arbitrary
+        from .oracles import linearized_dp
+        from .plans import parse_plan
+
         if args.order is not None:
             base = parse_plan(_read(args.order))
             if not isinstance(base, LinearPlan):
@@ -103,6 +115,8 @@ def _cmd_order(args: argparse.Namespace) -> int:
         tree, cost = linearized_dp(net, base_order)
         plan = TreePlan(tree)
     else:  # mst-iks
+        from .heuristics import max_spanning_tree, order_arbitrary
+
         if args.trace:
             _emit_trace(max_spanning_tree(net), sys.stderr)
         order, cost = order_arbitrary(net)
@@ -114,6 +128,9 @@ def _cmd_order(args: argparse.Namespace) -> int:
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:
+    from .cost import evaluate_linear, evaluate_tree
+    from .plans import LinearPlan, parse_plan
+
     net = parse_network(_read(args.network))
     plan = parse_plan(_read(args.plan))
     if isinstance(plan, LinearPlan):
@@ -152,6 +169,8 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import format_summary, render_chart, run_benchmark, summarize, write_csv
+
     sizes = _parse_sizes(args.sizes)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     # create the outputs first, so a bad path fails now and not after the run

@@ -214,7 +214,14 @@ def linearize_root(pg: PrecedenceGraph) -> tuple[tuple[NodeId, ...], int]:
     outer-product-free (every prefix is connected by construction) and
     cost-minimal among all orders compatible with this rooting.
     """
-    head, *rest = linearized_chain(pg)
+    return _order_and_cost(pg, linearized_chain(pg))
+
+
+def _order_and_cost(
+    pg: PrecedenceGraph, chain: list[SequenceEntry]
+) -> tuple[tuple[NodeId, ...], int]:
+    """The order ``linearized_chain(pg)`` stands for, with its exact cost."""
+    head, *rest = chain
     # the root entry is (its size, Q = 1, F(root) + its cost), see _absorb
     cost = head.Cn - pg.F[pg.root] + _prefix_costs(head.P, rest)[-1]
     return (*head.members, *(v for e in rest for v in e.members)), cost

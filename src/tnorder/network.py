@@ -21,6 +21,7 @@ NodeId = Union[int, str]
 
 __all__ = [
     "NodeId",
+    "SizeBoundError",
     "TensorNetwork",
     "ValidationError",
     "id_key",
@@ -30,6 +31,10 @@ __all__ = [
 
 class ValidationError(ValueError):
     """A network, plan, or CLI input failed structural validation."""
+
+
+class SizeBoundError(ValueError):
+    """The network exceeds a solver's hard size bound."""
 
 
 def id_key(node_id: NodeId) -> tuple[int, int, str]:
@@ -99,7 +104,11 @@ class TensorNetwork:
         edge_list: list[tuple[NodeId, NodeId, int]] = []
         for u, v, size in edges:
             for endpoint in (u, v):
-                if endpoint not in adjacency:
+                try:
+                    known = endpoint in adjacency
+                except TypeError:  # unhashable, such as a JSON list
+                    known = False
+                if not known:
                     raise ValidationError(f"edge references unknown node id {endpoint!r}")
             if u == v:
                 raise ValidationError(f"self-loop at node {u!r}")
@@ -184,6 +193,8 @@ def parse_network(text: str) -> TensorNetwork:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"network is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError("network is nested too deeply to parse") from None
     if not isinstance(obj, dict):
         raise ValidationError("network file must contain a JSON object")
     for key in ("nodes", "edges"):

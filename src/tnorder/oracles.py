@@ -28,7 +28,7 @@ import math
 import time
 from typing import Sequence
 
-from .network import NodeId, TensorNetwork
+from .network import NodeId, SizeBoundError, TensorNetwork
 from .plans import LinearPlan, TreeNode, validate_plan
 
 __all__ = [
@@ -40,10 +40,6 @@ __all__ = [
 
 DP_LINEAR_MAX_NODES = 30
 DP_GENERAL_MAX_NODES = 16
-
-
-class SizeBoundError(ValueError):
-    """The network exceeds a solver's hard size bound."""
 
 
 def _indexed(

@@ -14,8 +14,7 @@ File format::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .network import NodeId, TensorNetwork, ValidationError
 
@@ -32,17 +31,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LinearPlan:
+# Plans are NamedTuples, like SequenceEntry, because importing dataclasses
+# (and with it inspect, ast, ...) would cost every CLI call. A plan equals
+# only a plan of its own type, never the other plan type or a plain tuple
+# of the same items.
+def _plan_eq(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _plan_ne(self, other) -> bool:
+    return not _plan_eq(self, other)
+
+
+class LinearPlan(NamedTuple):
     order: tuple[NodeId, ...]
+
+    __eq__, __ne__, __hash__ = _plan_eq, _plan_ne, tuple.__hash__
 
     def to_json(self) -> str:
         return json.dumps({"type": "linear", "order": list(self.order)})
 
 
-@dataclass(frozen=True)
-class TreePlan:
+class TreePlan(NamedTuple):
     root: TreeNode
+
+    __eq__, __ne__, __hash__ = _plan_eq, _plan_ne, tuple.__hash__
 
     def to_json(self) -> str:
         return json.dumps({"type": "tree", "root": self.root})

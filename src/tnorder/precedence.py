@@ -23,8 +23,6 @@ c appear as exact ``Fraction``s only in ``format_precedence`` (the
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .network import NodeId, TensorNetwork, ValidationError
 
 __all__ = ["PrecedenceGraph", "build_precedence_graph", "format_precedence"]
@@ -90,6 +88,9 @@ def build_precedence_graph(net: TensorNetwork, root: NodeId) -> PrecedenceGraph:
 
 def format_precedence(pg: PrecedenceGraph) -> str:
     """Indented one-node-per-line debug dump of the arborescence."""
+    # imported here: only this dump needs it, and every CLI call would pay
+    from fractions import Fraction
+
     depth = {pg.root: 0}
     lines = []
     for v in pg.preorder:

@@ -87,7 +87,7 @@ def test_bench_unwritable_output_is_a_validation_error(tmp_path, capsys, monkeyp
     def run_benchmark(*args, **kwargs):
         pytest.fail("the benchmark ran before its output was opened")
 
-    monkeypatch.setattr("tnorder.cli.run_benchmark", run_benchmark)
+    monkeypatch.setattr("tnorder.bench.run_benchmark", run_benchmark)
     out = tmp_path / "no-such-dir" / "x.out"
     for flag in ("-o", "--chart"):
         code = main(["bench", "--sizes", "5", "--instances", "1",
@@ -216,6 +216,157 @@ def test_order_trace_note_for_other_algorithms(five_tensor_file, capsys):
     assert "--trace applies" in capsys.readouterr().err
 
 
+# `order --trace` stderr for the five-tensor fixture and for a tree with
+# open legs, whose chains keep several entries after absorbing
+FIVE_TENSOR_TRACE = """\
+== root T1: cost 59
+T1  w=1 F=1 t=1 c=1
+  T2  w=1 F=12 t=12 c=12
+    T4  w=6 F=30 t=5/6 c=5
+      T3  w=5 F=5 t=1/5 c=1
+    T5  w=2 F=2 t=1/2 c=1
+chain:
+  (T1,T2,T5,T4,T3)  T=1 C=60 rank=0
+order: T1 T2 T5 T4 T3
+== root T2: cost 48
+T2  w=1 F=12 t=12 c=12
+  T4  w=6 F=30 t=5/6 c=5
+    T3  w=5 F=5 t=1/5 c=1
+  T5  w=2 F=2 t=1/2 c=1
+  T1  w=1 F=1 t=1 c=1
+chain:
+  (T2,T5,T4,T3,T1)  T=1 C=60 rank=0
+order: T2 T5 T4 T3 T1
+== root T3: cost 45
+T3  w=1 F=5 t=5 c=5
+  T4  w=5 F=30 t=6/5 c=6
+    T2  w=6 F=12 t=1/3 c=2
+      T5  w=2 F=2 t=1/2 c=1
+      T1  w=1 F=1 t=1 c=1
+chain:
+  (T3,T4,T2,T5,T1)  T=1 C=50 rank=0
+order: T3 T4 T2 T5 T1
+== root T4: cost 45
+T4  w=1 F=30 t=30 c=30
+  T3  w=5 F=5 t=1/5 c=1
+  T2  w=6 F=12 t=1/3 c=2
+    T5  w=2 F=2 t=1/2 c=1
+    T1  w=1 F=1 t=1 c=1
+chain:
+  (T4,T3,T2,T5,T1)  T=1 C=75 rank=0
+order: T4 T3 T2 T5 T1
+== root T5: cost 48
+T5  w=1 F=2 t=2 c=2
+  T2  w=2 F=12 t=3 c=6
+    T4  w=6 F=30 t=5/6 c=5
+      T3  w=5 F=5 t=1/5 c=1
+    T1  w=1 F=1 t=1 c=1
+chain:
+  (T5,T2,T4,T3,T1)  T=1 C=50 rank=0
+order: T5 T2 T4 T3 T1
+"""
+OPEN_LEGS_NETWORK = {
+    "nodes": [{"id": "T1", "open": 50}, {"id": "T2", "open": 50},
+              {"id": "T3", "open": 50}, {"id": "T4"}, {"id": "T5", "open": 50}],
+    "edges": [{"u": "T2", "v": "T1", "size": 2}, {"u": "T3", "v": "T2", "size": 2},
+              {"u": "T4", "v": "T2", "size": 4}, {"u": "T5", "v": "T4", "size": 4}],
+}
+OPEN_LEGS_TRACE = """\
+== root T1: cost 13620000
+T1  w=1 F=100 t=100 c=100
+  T2  w=2 F=800 t=200 c=400
+    T4  w=4 F=16 t=1 c=4
+      T5  w=4 F=200 t=25/2 c=50
+    T3  w=2 F=100 t=25 c=50
+chain:
+  (T1,T2,T4)  T=20000 C=120100 rank=19999/120100
+  (T5)  T=25/2 C=50 rank=23/100
+  (T3)  T=25 C=50 rank=12/25
+order: T1 T2 T4 T5 T3
+== root T2: cost 13043200
+T2  w=1 F=800 t=800 c=800
+  T4  w=4 F=16 t=1 c=4
+    T5  w=4 F=200 t=25/2 c=50
+  T3  w=2 F=100 t=25 c=50
+  T1  w=2 F=100 t=25 c=50
+chain:
+  (T2,T4)  T=800 C=4000 rank=799/4000
+  (T5)  T=25/2 C=50 rank=23/100
+  (T1)  T=25 C=50 rank=12/25
+  (T3)  T=25 C=50 rank=12/25
+order: T2 T4 T5 T1 T3
+== root T3: cost 13620000
+T3  w=1 F=100 t=100 c=100
+  T2  w=2 F=800 t=200 c=400
+    T4  w=4 F=16 t=1 c=4
+      T5  w=4 F=200 t=25/2 c=50
+    T1  w=2 F=100 t=25 c=50
+chain:
+  (T3,T2,T4)  T=20000 C=120100 rank=19999/120100
+  (T5)  T=25/2 C=50 rank=23/100
+  (T1)  T=25 C=50 rank=12/25
+order: T3 T2 T4 T5 T1
+== root T4: cost 13040800
+T4  w=1 F=16 t=16 c=16
+  T5  w=4 F=200 t=25/2 c=50
+  T2  w=4 F=800 t=50 c=200
+    T3  w=2 F=100 t=25 c=50
+    T1  w=2 F=100 t=25 c=50
+chain:
+  (T4,T5)  T=200 C=816 rank=199/816
+  (T2)  T=50 C=200 rank=49/200
+  (T1)  T=25 C=50 rank=12/25
+  (T3)  T=25 C=50 rank=12/25
+order: T4 T5 T2 T1 T3
+== root T5: cost 13040800
+T5  w=1 F=200 t=200 c=200
+  T4  w=4 F=16 t=1 c=4
+    T2  w=4 F=800 t=50 c=200
+      T3  w=2 F=100 t=25 c=50
+      T1  w=2 F=100 t=25 c=50
+chain:
+  (T5,T4)  T=200 C=1000 rank=199/1000
+  (T2)  T=50 C=200 rank=49/200
+  (T1)  T=25 C=50 rank=12/25
+  (T3)  T=25 C=50 rank=12/25
+order: T5 T4 T2 T1 T3
+"""
+
+
+def test_order_trace_bytes_are_pinned(five_tensor_file, tmp_path, capsys):
+    open_file = tmp_path / "open.json"
+    open_file.write_text(json.dumps(OPEN_LEGS_NETWORK))
+    cases = [
+        (five_tensor_file, FIVE_TENSOR_TRACE, "45"),
+        (str(open_file), OPEN_LEGS_TRACE, "13040800"),
+    ]
+    for net_file, trace, cost in cases:
+        assert main(["order", "--algorithm", "iks", "--network", net_file,
+                     "-o", str(tmp_path / "plan.json"), "--trace"]) == 0
+        assert capsys.readouterr() == (cost + "\n", trace)
+
+
+def test_order_trace_linearizes_each_root_once(five_tensor_file, capsys, monkeypatch):
+    import tnorder.iks
+
+    calls = {"linearized_chain": [], "_upward_chains": []}
+    for name, seen in calls.items():
+        real = getattr(tnorder.iks, name)
+
+        def counted(pg, *args, real=real, seen=seen):
+            seen.append(pg.root)
+            return real(pg, *args)
+
+        monkeypatch.setattr(tnorder.iks, name, counted)
+    assert main(["order", "--algorithm", "iks", "--network", five_tensor_file,
+                 "--trace"]) == 0
+    assert capsys.readouterr().err == FIVE_TENSOR_TRACE
+    # the trace roots at each node in turn; iks_order builds its own
+    # rooting at the first node once, through _upward_chains
+    roots = ["T1", "T2", "T3", "T4", "T5"]
+    assert calls == {"linearized_chain": roots, "_upward_chains": roots + ["T1"]}
+
+
 def test_readme_quick_start(tmp_path, capsys):
     net_file, plan_file = tmp_path / "net.json", tmp_path / "plan.json"
     assert main(["gen", "--n", "4", "--seed", "3", "-o", str(net_file)]) == 0
@@ -270,6 +421,14 @@ def test_over_deep_tree_plan_is_a_validation_error(tmp_path, capsys):
     )
     assert main(["cost", "--network", str(net_file), "--plan", str(plan_file)]) == 2
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_deeply_nested_network_file_is_a_validation_error(tmp_path, capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text('{"nodes": ' + "[" * 3000 + "]" * 3000 + ', "edges": []}')
+    assert main(["order", "--algorithm", "iks", "--network", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err and "Traceback" not in err
 
 
 def test_unknown_algorithm_is_a_usage_error(five_tensor_file):
@@ -345,7 +504,7 @@ def test_bench_output_file_matches_stdout_csv(tmp_path, capsys, monkeypatch):
         BenchRecord("dp-linear", 5, 0, 5000000, 10**40 + 1, 123, False),
         BenchRecord("iks", 5, 0, 5000000, None, 456, True),
     ]
-    monkeypatch.setattr("tnorder.cli.run_benchmark", lambda *a, **k: records)
+    monkeypatch.setattr("tnorder.bench.run_benchmark", lambda *a, **k: records)
     argv = ["bench", "--sizes", "5", "--instances", "1"]
     assert main(argv) == 0
     stdout_csv = capsys.readouterr().out

@@ -140,6 +140,18 @@ def test_parse_network_names_bad_element():
         parse_network(json.dumps(doc))
 
 
+def test_parse_network_rejects_nesting_past_the_recursion_limit():
+    with pytest.raises(ValidationError, match="nested too deeply"):
+        parse_network('{"nodes": ' + "[" * 3000 + "]" * 3000 + ', "edges": []}')
+
+
+def test_unhashable_edge_endpoint_is_an_unknown_node():
+    doc = {"nodes": [{"id": "a"}, {"id": "b"}],
+           "edges": [{"u": ["a"], "v": "b", "size": 2}]}
+    with pytest.raises(ValidationError, match="unknown node id"):
+        parse_network(json.dumps(doc))
+
+
 def test_parse_network_rejects_non_object():
     with pytest.raises(ValidationError):
         parse_network("[1, 2]")

@@ -90,3 +90,23 @@ def test_plans_are_immutable():
     plan = LinearPlan(("a", "b"))
     with pytest.raises(AttributeError):
         plan.order = ("b", "a")
+
+
+def test_plan_types_keep_equality_hashing_and_json_bytes():
+    order = ("T4", "T3", 7)
+    linear, tree = LinearPlan(order), TreePlan((("T4", "T3"), 7))
+    assert linear == LinearPlan(tuple(order)) and not linear != LinearPlan(order)
+    assert hash(linear) == hash(LinearPlan(order))
+    assert hash(tree) == hash(TreePlan((("T4", "T3"), 7)))
+    # a plan equals only a plan of its own type
+    assert LinearPlan(("a", "b")) != TreePlan(("a", "b"))
+    assert LinearPlan(order) != (order,) and (order,) != LinearPlan(order)
+    assert len({LinearPlan(("a", "b")), TreePlan(("a", "b"))}) == 2
+    for plan, field in ((linear, "order"), (tree, "root")):
+        with pytest.raises(AttributeError):
+            setattr(plan, field, ())
+        with pytest.raises(AttributeError):
+            plan.other = 1
+    assert linear.to_json() == '{"type": "linear", "order": ["T4", "T3", 7]}'
+    assert tree.to_json() == '{"type": "tree", "root": [["T4", "T3"], 7]}'
+    assert repr(linear) == "LinearPlan(order=('T4', 'T3', 7))"
