@@ -12,14 +12,20 @@ outer-product-free.
 All arithmetic is arbitrary-precision integer arithmetic. The divisions
 are exact by construction: every shared leg is a factor of both operand
 sizes.
+
+``evaluate_tree`` checks the plan inside its pricing walk, and
+``evaluate_linear`` with one bulk set comparison. A plan either rejects
+goes to ``validate_plan`` only to raise that function's exact message.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from bisect import bisect_right
+from math import prod
+from typing import NamedTuple, NoReturn, Sequence
 
 from .network import NodeId, TensorNetwork
-from .plans import LinearPlan, TreeNode, TreePlan, validate_plan
+from .plans import ContractionPlan, LinearPlan, TreeNode, TreePlan, validate_plan
 
 __all__ = ["LinearCostReport", "evaluate_linear", "evaluate_tree"]
 
@@ -29,6 +35,11 @@ class LinearCostReport(NamedTuple):
 
     cost: int
     outer_product_free: bool
+
+
+def _invalid(net: TensorNetwork, plan: ContractionPlan) -> NoReturn:
+    validate_plan(net, plan)
+    raise AssertionError("validate_plan accepted a plan the pricing pass rejected")
 
 
 def evaluate_linear(
@@ -43,20 +54,28 @@ def evaluate_linear(
         order = order.order
     else:
         order = tuple(order)
-    validate_plan(net, LinearPlan(order))
+    open_mult, adjacency = net.open_mult, net.adjacency
+    try:
+        covers = len(order) == len(open_mult) and open_mult.keys() == set(order)
+    except TypeError:  # an unhashable entry
+        covers = False
+    if not covers:
+        _invalid(net, LinearPlan(order))
 
-    members = {order[0]}
-    prefix_size = net.tensor_size(order[0])
+    first = order[0]
+    members = {first}
+    prefix_size = prod(adjacency[first].values(), start=open_mult[first])
     total = 0
     op_free = True
     for v in order[1:]:
+        adj = adjacency[v]
         shared = 1
         crossing = False
-        for nbr, edge in net.adjacency[v].items():
+        for nbr, edge in adj.items():
             if nbr in members:
                 shared *= edge
                 crossing = True
-        step = prefix_size * net.tensor_size(v) // shared
+        step = prefix_size * prod(adj.values(), start=open_mult[v]) // shared
         total += step
         prefix_size = step // shared
         op_free = op_free and crossing
@@ -64,37 +83,55 @@ def evaluate_linear(
     return LinearCostReport(total, op_free)
 
 
+_CLOSE = object()  # walk marker: both children of the innermost open pair are done
+
+
 def evaluate_tree(net: TensorNetwork, tree: TreePlan | TreeNode) -> int:
     """Total cost of a contraction tree: one pairwise contraction per
     internal node, summed over the whole tree.
 
-    The walk is iterative, so a tree of any depth is priced, and each
-    contraction merges the smaller member set into the larger one.
+    One iterative walk, left to right, so a tree of any depth is priced.
+    It keeps the open pairs (the current leaf's ancestors, root first)
+    with each one's first leaf position and running shared product. An
+    edge is charged once, when its second endpoint u is reached: its
+    first endpoint sits at position p, and the edge is shared exactly at
+    the lowest common ancestor, the deepest open pair whose first leaf is
+    at or before p. No member sets are built: O(n + E log depth).
     """
     root = tree.root if isinstance(tree, TreePlan) else tree
-    validate_plan(net, TreePlan(root))
+    open_mult, adjacency = net.open_mult, net.adjacency
 
     total = 0
-    # post-order: (members, size) of every finished subtree, left first
-    done: list[tuple[set[NodeId], int]] = []
-    stack: list[tuple[TreeNode, bool]] = [(root, False)]
+    position: dict[NodeId, int] = {}  # leaves seen so far, left to right
+    path_lo: list[int] = []  # open pairs, root first: first leaf position
+    path_shared: list[int] = []  # open pairs: product of edges charged so far
+    sizes: list[int] = []  # finished subtrees still waiting for a sibling
+    stack: list = [root]
     while stack:
-        node, expanded = stack.pop()
-        if not isinstance(node, tuple):
-            done.append(({node}, net.tensor_size(node)))
-        elif not expanded:
-            stack += ((node, True), (node[1], False), (node[0], False))
-        else:
-            rmem, rsize = done.pop()
-            lmem, lsize = done.pop()
-            small, large = (lmem, rmem) if len(lmem) <= len(rmem) else (rmem, lmem)
-            shared = 1
-            for v in small:
-                for nbr, edge in net.adjacency[v].items():
-                    if nbr in large:
-                        shared *= edge
-            step = lsize * rsize // shared
+        item = stack.pop()
+        if item is _CLOSE:
+            right = sizes.pop()
+            shared = path_shared.pop()
+            path_lo.pop()
+            step = sizes[-1] * right // shared
             total += step
-            large |= small
-            done.append((large, step // shared))
+            sizes[-1] = step // shared
+        elif type(item) is int or type(item) is str:
+            adj = adjacency.get(item)
+            if adj is None or item in position:
+                _invalid(net, TreePlan(root))
+            for nbr, edge in adj.items():
+                p = position.get(nbr)
+                if p is not None:
+                    path_shared[bisect_right(path_lo, p) - 1] *= edge
+            position[item] = len(position)
+            sizes.append(prod(adj.values(), start=open_mult[item]))
+        elif isinstance(item, tuple) and len(item) == 2:
+            path_lo.append(len(position))
+            path_shared.append(1)
+            stack += (_CLOSE, item[1], item[0])
+        else:
+            _invalid(net, TreePlan(root))
+    if len(position) != len(adjacency):
+        _invalid(net, TreePlan(root))
     return total

@@ -15,7 +15,8 @@ ever rounds a size or a cost.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Iterator, Mapping, Union
+from operator import itemgetter, methodcaller
+from typing import Any, Iterable, Iterator, Mapping, NoReturn, Union
 
 NodeId = Union[int, str]
 
@@ -62,6 +63,75 @@ def _check_node_id(value: Any) -> NodeId:
     return value
 
 
+_ID_TYPES = frozenset((int, str))
+_INT_TYPE = frozenset((int,))
+_get_id = itemgetter("id")
+_get_open = methodcaller("get", "open", 1)
+_get_edge = itemgetter("u", "v", "size")
+
+
+def _bulk_build(
+    ids: list, mults: list, edges: list[tuple]
+) -> tuple[dict[NodeId, int], dict[NodeId, dict[NodeId, int]]] | None:
+    """``open_mult`` and the adjacency, or None when any node or edge breaks
+    a rule (see ``TensorNetwork``)."""
+    if not (
+        set(map(type, ids)) <= _ID_TYPES
+        and set(map(type, mults)) <= _INT_TYPE
+        and min(mults) >= 1
+    ):
+        return None
+    open_mult = dict(zip(ids, mults))
+    if len(open_mult) != len(ids):
+        return None
+    adjacency: dict[NodeId, dict[NodeId, int]] = {v: {} for v in open_mult}
+    if not edges:
+        return open_mult, adjacency
+    if set(map(len, edges)) != {3}:
+        return None
+    us, vs, sizes = zip(*edges)
+    if not (
+        set(map(type, us)) | set(map(type, vs)) <= _ID_TYPES
+        and set(map(type, sizes)) <= _INT_TYPE
+        and min(sizes) >= 1
+    ):
+        return None
+    try:
+        for u, v, size in edges:
+            adjacency[u][v] = size
+            adjacency[v][u] = size
+    except KeyError:  # an endpoint that is no node
+        return None
+    # each edge adds two entries, unless it is a self-loop or its pair repeats
+    if sum(map(len, adjacency.values())) != 2 * len(edges):
+        return None
+    return open_mult, adjacency
+
+
+def _diagnose(ids: list, mults: list, edges: list[tuple]) -> NoReturn:
+    """Per-item checks in input order: raise the first fault's message."""
+    open_mult: dict[NodeId, int] = {}
+    for v, mult in zip(ids, mults):
+        _check_node_id(v)
+        if v in open_mult:
+            raise ValidationError(f"duplicate node id {v!r}")
+        open_mult[v] = _check_positive_int(mult, f"open_mult of node {v!r}")
+    adjacency: dict[NodeId, set[NodeId]] = {v: set() for v in open_mult}
+    for u, v, size in edges:
+        for endpoint in (u, v):
+            # exact types first: True == 1, and a list is unhashable
+            if type(endpoint) not in _ID_TYPES or endpoint not in adjacency:
+                raise ValidationError(f"edge references unknown node id {endpoint!r}")
+        if u == v:
+            raise ValidationError(f"self-loop at node {u!r}")
+        if v in adjacency[u]:
+            raise ValidationError(f"duplicate edge between {u!r} and {v!r}")
+        _check_positive_int(size, f"size of edge {u!r}-{v!r}")
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    raise AssertionError("bulk validation rejected a network with no fault")
+
+
 class TensorNetwork:
     """A validated, immutable tensor network.
 
@@ -77,6 +147,13 @@ class TensorNetwork:
     Raises ``ValidationError`` with a message naming the offending element
     for any structural problem: duplicate ids, self-loops, duplicate edges,
     non-positive sizes, unknown endpoints, or a disconnected graph.
+
+    Validation runs in bulk: C-level passes over whole columns check id
+    and size types and the least size, and building the adjacency exposes
+    unknown endpoints (a missing key), self-loops and duplicate edges (a
+    degree sum short of twice the edge count). Only when a bulk check
+    fails do the per-item checks run, to name the first fault in input
+    order.
     """
 
     __slots__ = ("nodes", "edges", "open_mult", "adjacency", "_tensor_size")
@@ -87,37 +164,18 @@ class TensorNetwork:
         edges: Iterable[tuple[NodeId, NodeId, int]],
     ) -> None:
         if isinstance(nodes, Mapping):
-            node_items = [(v, open_mult) for v, open_mult in nodes.items()]
+            ids, mults = list(nodes), list(nodes.values())
         else:
-            node_items = [(v, 1) for v in nodes]
-        if not node_items:
+            ids = list(nodes)
+            mults = [1] * len(ids)
+        if not ids:
             raise ValidationError("network must contain at least one node")
+        edge_list = list(map(tuple, edges))
 
-        open_mult: dict[NodeId, int] = {}
-        for v, mult in node_items:
-            _check_node_id(v)
-            if v in open_mult:
-                raise ValidationError(f"duplicate node id {v!r}")
-            open_mult[v] = _check_positive_int(mult, f"open_mult of node {v!r}")
-
-        adjacency: dict[NodeId, dict[NodeId, int]] = {v: {} for v in open_mult}
-        edge_list: list[tuple[NodeId, NodeId, int]] = []
-        for u, v, size in edges:
-            for endpoint in (u, v):
-                try:
-                    known = endpoint in adjacency
-                except TypeError:  # unhashable, such as a JSON list
-                    known = False
-                if not known:
-                    raise ValidationError(f"edge references unknown node id {endpoint!r}")
-            if u == v:
-                raise ValidationError(f"self-loop at node {u!r}")
-            if v in adjacency[u]:
-                raise ValidationError(f"duplicate edge between {u!r} and {v!r}")
-            size = _check_positive_int(size, f"size of edge {u!r}-{v!r}")
-            adjacency[u][v] = size
-            adjacency[v][u] = size
-            edge_list.append((u, v, size))
+        built = _bulk_build(ids, mults, edge_list)
+        if built is None:
+            _diagnose(ids, mults, edge_list)
+        open_mult, adjacency = built
 
         self.nodes: tuple[NodeId, ...] = tuple(open_mult)
         self.edges: tuple[tuple[NodeId, NodeId, int], ...] = tuple(edge_list)
@@ -187,7 +245,9 @@ def parse_network(text: str) -> TensorNetwork:
          "edges": [{"u": "T1", "v": "T2", "size": 1}, ...]}
 
     ``open`` is optional and defaults to 1. Raises ``ValidationError`` with
-    a diagnostic naming the offending element on any violation.
+    a diagnostic naming the offending element on any violation. Records
+    are read in bulk; a record that is not an object with the keys it
+    needs is named by its index, with its text cut to 200 characters.
     """
     try:
         obj = json.loads(text)
@@ -203,19 +263,39 @@ def parse_network(text: str) -> TensorNetwork:
         if not isinstance(obj[key], list):
             raise ValidationError(f"network {key!r} must be a list")
 
-    nodes: dict[NodeId, int] = {}
-    for i, record in enumerate(obj["nodes"]):
-        if not isinstance(record, dict) or "id" not in record:
-            raise ValidationError(f"nodes[{i}] is malformed: {record!r}")
-        v = _check_node_id(record["id"])
-        if v in nodes:
-            raise ValidationError(f"duplicate node id {v!r}")
-        nodes[v] = record.get("open", 1)
-
-    edges = []
-    for i, record in enumerate(obj["edges"]):
-        if not isinstance(record, dict) or not {"u", "v", "size"} <= record.keys():
-            raise ValidationError(f"edges[{i}] is malformed: {record!r}")
-        edges.append((record["u"], record["v"], record["size"]))
-
+    node_records, edge_records = obj["nodes"], obj["edges"]
+    ids = _column(node_records, _get_id)
+    edges = _column(edge_records, _get_edge)
+    if ids is None or edges is None or not set(map(type, ids)) <= _ID_TYPES:
+        _diagnose_records(node_records, edge_records)
+    nodes = dict(zip(ids, map(_get_open, node_records)))
+    if len(nodes) != len(ids):
+        _diagnose_records(node_records, edge_records)
     return TensorNetwork(nodes, edges)
+
+
+def _column(records: list, getter) -> list | None:
+    """``getter`` applied to every record, or None unless every record is
+    an object holding the keys it reads."""
+    if not set(map(type, records)) <= {dict}:
+        return None
+    try:
+        return list(map(getter, records))
+    except KeyError:
+        return None
+
+
+def _diagnose_records(node_records: list, edge_records: list) -> NoReturn:
+    """Per-record checks in file order: raise the first fault's message."""
+    seen: set[NodeId] = set()
+    for i, record in enumerate(node_records):
+        if not isinstance(record, dict) or "id" not in record:
+            raise ValidationError(f"nodes[{i}] is malformed: {record!r:.200}")
+        v = _check_node_id(record["id"])
+        if v in seen:
+            raise ValidationError(f"duplicate node id {v!r}")
+        seen.add(v)
+    for i, record in enumerate(edge_records):
+        if not isinstance(record, dict) or not {"u", "v", "size"} <= record.keys():
+            raise ValidationError(f"edges[{i}] is malformed: {record!r:.200}")
+    raise AssertionError("bulk validation rejected records with no fault")

@@ -85,14 +85,38 @@ def tree_leaves(node: TreeNode) -> tuple[NodeId, ...]:
     return tuple(out)
 
 
+_PAIR = object()  # stack marker: pair the last two finished subtrees
+
+
 def _tree_from_obj(obj) -> TreeNode:
-    if isinstance(obj, list):
-        if len(obj) != 2:
-            raise ValidationError(f"tree node must be a pair, got {obj!r}")
-        return (_tree_from_obj(obj[0]), _tree_from_obj(obj[1]))
-    if type(obj) is int or type(obj) is str:
-        return obj
-    raise ValidationError(f"tree leaf must be a node id, got {obj!r}")
+    """Nested JSON pairs as nested tuples, without recursion. Faults are
+    found in the order of a left-first recursive descent."""
+    done: list[TreeNode] = []  # finished subtrees, each a left operand
+    stack: list = []  # right children still to convert, and _PAIR markers
+    item = obj
+    while True:
+        while type(item) is list:  # down the left spine
+            if len(item) != 2:
+                raise ValidationError(f"tree node must be a pair, got {item!r}")
+            item, right = item
+            stack.append(right)
+        if type(item) is not int and type(item) is not str:
+            raise ValidationError(f"tree leaf must be a node id, got {item!r}")
+        done.append(item)
+        while stack:
+            item = stack.pop()
+            if type(item) is int or type(item) is str:
+                done[-1] = (done[-1], item)
+            elif item is _PAIR:
+                right = done.pop()
+                done[-1] = (done[-1], right)
+            elif type(item) is list:
+                stack.append(_PAIR)
+                break
+            else:
+                raise ValidationError(f"tree leaf must be a node id, got {item!r}")
+        else:
+            return done[0]
 
 
 def parse_plan(text: str) -> ContractionPlan:
@@ -114,10 +138,7 @@ def parse_plan(text: str) -> ContractionPlan:
     if kind == "tree":
         if "root" not in obj:
             raise ValidationError("tree plan must have a 'root' field")
-        try:
-            return TreePlan(_tree_from_obj(obj["root"]))
-        except RecursionError:
-            raise ValidationError("tree plan is nested too deeply") from None
+        return TreePlan(_tree_from_obj(obj["root"]))
     raise ValidationError(f"unknown plan type {kind!r}")
 
 

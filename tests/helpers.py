@@ -177,6 +177,22 @@ def random_tree_data(rng: random.Random, n: int, dim_lo=2, dim_hi=10,
     return nodes, edges
 
 
+def random_connected_data(rng: random.Random, n: int, extra: int, open_hi=1):
+    """A random tree plus ``extra`` chords between distinct unjoined pairs."""
+    nodes, edges = random_tree_data(rng, n, dim_lo=2, dim_hi=6, open_hi=open_hi)
+    present = {frozenset((u, v)) for u, v, _ in edges}
+    ids = list(nodes)
+    added = 0
+    while added < extra:
+        u, v = rng.sample(ids, 2)
+        if frozenset((u, v)) in present:
+            continue
+        present.add(frozenset((u, v)))
+        edges.append((u, v, rng.randint(2, 6)))
+        added += 1
+    return nodes, edges
+
+
 def random_precedence_order(rng: random.Random, nodes, edges, root):
     """Uniformly-ish random order consistent with rooting the tree at
     ``root``: repeatedly emit a random node all of whose tree ancestors

@@ -401,6 +401,23 @@ def test_semantic_network_error_is_surfaced(tmp_path, capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+def test_true_edge_endpoint_is_a_validation_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"nodes": [{"id": 1}, {"id": "b"}], '
+                   '"edges": [{"u": true, "v": "b", "size": 2}]}')
+    assert main(["order", "--algorithm", "iks", "--network", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: edge references unknown node id True\n"
+
+
+def test_huge_malformed_record_gives_a_short_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"nodes": [list(range(200_000))], "edges": []}))
+    assert main(["order", "--algorithm", "iks", "--network", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: nodes[0] is malformed: [0, 1, 2,")
+    assert len(err.encode()) < 1024
+
+
 def test_undecodable_files_are_validation_errors(
     five_tensor_file, tmp_path, capsys
 ):

@@ -12,7 +12,14 @@ from tnorder import (
     evaluate_linear,
     evaluate_tree,
 )
-from helpers import naive_linear, naive_tree, random_tree_data, to_network
+from tnorder.plans import validate_plan
+from helpers import (
+    naive_linear,
+    naive_tree,
+    random_connected_data,
+    random_tree_data,
+    to_network,
+)
 
 
 @st.composite
@@ -22,6 +29,15 @@ def tree_instances(draw, max_n=8, open_hi=3):
     rng = random.Random(seed)
     nodes, edges = random_tree_data(rng, n, dim_lo=1, dim_hi=6, open_hi=open_hi)
     return nodes, edges, draw(st.randoms(use_true_random=False))
+
+
+@st.composite
+def loopy_instances(draw, max_n=40):
+    n = draw(st.integers(2, max_n))
+    extra = draw(st.integers(0, min(n // 2, (n - 1) * (n - 2) // 2)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    nodes, edges = random_connected_data(rng, n, extra, open_hi=3)
+    return nodes, edges, rng
 
 
 def _random_full_tree(rng, leaves):
@@ -122,14 +138,91 @@ def test_left_deep_tree_costs_like_linear(instance):
     assert evaluate_tree(net, tree) == evaluate_linear(net, order).cost
 
 
+@settings(max_examples=100, deadline=None)
+@given(loopy_instances())
+def test_tree_cost_matches_leg_oracle_on_loopy_networks(instance):
+    # chords give a step several shared legs, charged at different depths
+    nodes, edges, rng = instance
+    tree = _random_full_tree(rng, nodes)
+    expect_cost, _ = naive_tree(nodes, edges, tree)
+    assert evaluate_tree(to_network(nodes, edges), tree) == expect_cost
+
+
+def _balanced(leaves):
+    level = list(leaves)
+    while len(level) > 1:
+        paired = [(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        level = paired + level[len(level) - len(level) % 2 :]
+    return level[0]
+
+
 def test_deep_trees_price_without_recursion():
-    # 5000 levels, far past the interpreter's recursion limit
-    n = 5000
-    net = TensorNetwork(range(n), [(i, i + 1, 2 + i % 3) for i in range(n - 1)])
+    # a path with a chord every 7 nodes; left- and right-deep trees are
+    # 3000 levels deep, past the interpreter's recursion limit
+    n = 3000
+    rng = random.Random(3)
+    edges = [(i, i + 1, rng.randint(2, 5)) for i in range(n - 1)]
+    edges += [(i, i + 7, rng.randint(2, 5)) for i in range(0, n - 7, 7)]
+    nodes = {i: rng.randint(1, 3) for i in range(n)}
+    net = TensorNetwork(nodes, edges)
     order = list(range(n))
     left_deep = functools.reduce(lambda acc, v: (acc, v), order)
     right_deep = functools.reduce(lambda acc, v: (v, acc), reversed(order))
     assert evaluate_tree(net, left_deep) == evaluate_linear(net, order).cost
-    assert evaluate_tree(net, TreePlan(right_deep)) == evaluate_linear(
-        net, order[::-1]
-    ).cost
+    assert evaluate_tree(net, right_deep) == evaluate_linear(net, order[::-1]).cost
+    balanced = _balanced(order)
+    assert evaluate_tree(net, TreePlan(balanced)) == naive_tree(nodes, edges, balanced)[0]
+
+
+# Each plan breaks the cover of the five-tensor network T1..T5, and each
+# evaluator must raise exactly what validate_plan raises for it.
+BAD_TREES = {
+    "unknown id": (((("T1", "T2"), ("T3", "T4")), "T9"),
+                   "plan references unknown node id 'T9'"),
+    "duplicate": ((("T1", "T2"), (("T3", "T4"), ("T5", "T2"))),
+                  "plan lists node 'T2' more than once"),
+    "missing": ((("T1", "T2"), ("T3", "T4")), "plan is missing node 'T5'"),
+    "non-pair": ((("T1", "T2", "T3"), ("T4", "T5")),
+                 "tree node must be a pair, got 3 children"),
+    "non-id leaf": ((("T1", "T2"), (("T3", "T4"), ("T5", True))),
+                    "tree leaf must be a node id, got True"),
+    # the walk meets the duplicate T1 first; validate_plan checks the
+    # shape of the whole tree before any id
+    "two faults": ((("T1", "T1"), (("T3", "T4"), ("T5",))),
+                   "tree node must be a pair, got 1 children"),
+}
+BAD_ORDERS = {
+    "unknown id": (("T1", "T2", "T3", "T4", "T9"),
+                   "plan references unknown node id 'T9'"),
+    "duplicate": (("T1", "T2", "T3", "T4", "T5", "T4"),
+                  "plan lists node 'T4' more than once"),
+    "missing": (("T1", "T2", "T3", "T4"), "plan is missing node 'T5'"),
+    "non-pair": (("T1", "T2", "T3", ("T4", "T5")),
+                 "plan references unknown node id ('T4', 'T5')"),
+    "non-id leaf": (("T1", "T2", "T3", "T4", 2.5), "plan references unknown node id 2.5"),
+    "two faults": (("T1", "T1", "T9", "T3", "T4"), "plan lists node 'T1' more than once"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TREES)
+def test_evaluate_tree_raises_validate_plans_message(five_tensor_net, case):
+    root, message = BAD_TREES[case]
+    for check in (
+        lambda: validate_plan(five_tensor_net, TreePlan(root)),
+        lambda: evaluate_tree(five_tensor_net, root),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            check()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("case", BAD_ORDERS)
+def test_evaluate_linear_raises_validate_plans_message(five_tensor_net, case):
+    order, message = BAD_ORDERS[case]
+    for check in (
+        lambda: validate_plan(five_tensor_net, LinearPlan(order)),
+        lambda: evaluate_linear(five_tensor_net, order),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            check()
+        assert str(exc.value) == message

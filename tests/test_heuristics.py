@@ -10,28 +10,13 @@ from tnorder import (
     LinearPlan,
 )
 from tnorder.plans import validate_plan
-from helpers import random_tree_data, to_network
+from helpers import random_connected_data, to_network
 
 
 def triangle():
     return TensorNetwork(
         "abc", [("a", "b", 2), ("b", "c", 3), ("a", "c", 4)]
     )
-
-
-def random_connected_graph(rng, n, extra):
-    nodes, edges = random_tree_data(rng, n, dim_lo=2, dim_hi=6)
-    present = {frozenset((u, v)) for u, v, _ in edges}
-    ids = list(nodes)
-    added = 0
-    while added < extra:
-        u, v = rng.sample(ids, 2)
-        if frozenset((u, v)) in present:
-            continue
-        present.add(frozenset((u, v)))
-        edges.append((u, v, rng.randint(2, 6)))
-        added += 1
-    return nodes, edges
 
 
 def test_mst_keeps_biggest_edges():
@@ -104,7 +89,7 @@ def test_order_arbitrary_four_cycle():
 def test_order_arbitrary_prices_on_original_network():
     rng = random.Random(13)
     for _ in range(20):
-        nodes, edges = random_connected_graph(rng, rng.randint(4, 9), 2)
+        nodes, edges = random_connected_data(rng, rng.randint(4, 9), 2)
         net = to_network(nodes, edges)
         order, cost = order_arbitrary(net)
         validate_plan(net, LinearPlan(order))
@@ -120,7 +105,7 @@ def test_order_arbitrary_prices_on_original_network():
 def test_order_arbitrary_never_beats_exact_dp():
     rng = random.Random(29)
     for _ in range(15):
-        nodes, edges = random_connected_graph(rng, rng.randint(4, 8), 2)
+        nodes, edges = random_connected_data(rng, rng.randint(4, 8), 2)
         net = to_network(nodes, edges)
         _, cost = order_arbitrary(net)
         assert cost >= dp_linear_optimal(net)[1]

@@ -183,3 +183,80 @@ def test_node_file_order_does_not_change_sizes():
 def test_neighbors_follow_edge_order(five_tensor_net):
     # T2's edges appear as T1-T2, T5-T2, T2-T4 in the file
     assert list(five_tensor_net.adjacency["T2"]) == ["T1", "T5", "T4"]
+
+
+# Each invalid network, as (node id, open) pairs and (u, v, size) edges,
+# with the exact message both TensorNetwork and parse_network raise. Where
+# an input breaks two rules, the first in file order wins.
+BAD_NETWORKS = {
+    "duplicate node": ([("a", 1), ("b", 1), ("a", 1)], [("a", "b", 2)],
+                       "duplicate node id 'a'"),
+    "open below one": ([("a", 1), ("b", 0)], [("a", "b", 2)],
+                       "open_mult of node 'b' must be >= 1, got 0"),
+    "open not an integer": ([("a", 1.5), ("b", 1)], [("a", "b", 2)],
+                            "open_mult of node 'a' must be an integer, got 1.5"),
+    "unknown endpoint": ([("a", 1), ("b", 1)], [("a", "b", 2), ("b", "c", 2)],
+                         "edge references unknown node id 'c'"),
+    "unhashable endpoint": ([("a", 1), ("b", 1)], [(["a"], "b", 2)],
+                            "edge references unknown node id ['a']"),
+    "true endpoint": ([(1, 1), ("b", 1)], [(True, "b", 2)],
+                      "edge references unknown node id True"),
+    "self-loop": ([("a", 1), ("b", 1)], [("a", "b", 2), ("b", "b", 2)],
+                  "self-loop at node 'b'"),
+    "reversed duplicate edge": ([("a", 1), ("b", 1)], [("a", "b", 2), ("b", "a", 3)],
+                                "duplicate edge between 'b' and 'a'"),
+    "size below one": ([("a", 1), ("b", 1)], [("a", "b", 0)],
+                       "size of edge 'a'-'b' must be >= 1, got 0"),
+    "size not an integer": ([("a", 1), ("b", 1)], [("a", "b", "4")],
+                            "size of edge 'a'-'b' must be an integer, got '4'"),
+    "disconnected": ([("a", 1), ("b", 1), ("c", 1)], [("a", "b", 2)],
+                     "network is disconnected: node 'c' is not reachable from node 'a'"),
+    "bad size, then self-loop": ([("a", 1), ("b", 1)], [("a", "b", 0), ("a", "a", 2)],
+                                 "size of edge 'a'-'b' must be >= 1, got 0"),
+    "self-loop, then bad size": ([("a", 1), ("b", 1)], [("a", "a", 2), ("a", "b", 0)],
+                                 "self-loop at node 'a'"),
+    "bad open, then unknown endpoint": ([("a", 1), ("b", -1)], [("a", "z", 2)],
+                                        "open_mult of node 'b' must be >= 1, got -1"),
+    "duplicate edge, then disconnected": (
+        [("a", 1), ("b", 1), ("c", 1)], [("a", "b", 2), ("a", "b", 2)],
+        "duplicate edge between 'a' and 'b'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NETWORKS)
+def test_invalid_network_raises_its_exact_message(case):
+    node_pairs, edges, message = BAD_NETWORKS[case]
+    if all(mult == 1 for _v, mult in node_pairs):
+        nodes = [v for v, _mult in node_pairs]  # keeps a repeated id
+    else:
+        nodes = dict(node_pairs)
+    doc = {
+        "nodes": [{"id": v, "open": mult} for v, mult in node_pairs],
+        "edges": [{"u": u, "v": v, "size": size} for u, v, size in edges],
+    }
+    for build in (
+        lambda: TensorNetwork(nodes, edges),
+        lambda: parse_network(json.dumps(doc)),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+def test_parse_network_cuts_a_huge_malformed_record():
+    doc = json.dumps({"nodes": [list(range(200_000))], "edges": []})
+    with pytest.raises(ValidationError) as exc:
+        parse_network(doc)
+    message = str(exc.value)
+    assert message.startswith("nodes[0] is malformed: [0, 1, 2,")
+    assert len(message) < 300
+
+
+def test_parse_network_checks_node_records_before_edge_records():
+    doc = {"nodes": [{"id": "a"}, {"id": "b", "open": 0}, {"id": 2.5}],
+           "edges": [{"u": "a"}]}
+    with pytest.raises(ValidationError, match="^node id must be an integer or string, got 2.5$"):
+        parse_network(json.dumps(doc))
+    doc["nodes"][2] = {"id": "c"}
+    with pytest.raises(ValidationError, match=r"^edges\[0\] is malformed: \{'u': 'a'\}$"):
+        parse_network(json.dumps(doc))

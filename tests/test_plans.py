@@ -1,10 +1,11 @@
 import json
+import random
 import sys
 
 import pytest
 
 from tnorder import LinearPlan, TreePlan, ValidationError, parse_plan
-from tnorder.plans import tree_leaves, validate_plan
+from tnorder.plans import _tree_from_obj, tree_leaves, validate_plan
 
 
 def test_linear_plan_json_round_trip():
@@ -34,8 +35,8 @@ def test_parse_plan_rejects_bad_tree_arity():
 
 
 def test_parse_plan_rejects_trees_nested_past_the_recursion_limit():
-    # json.loads and the conversion to nested tuples both recurse, and near
-    # the limit either may give out first: each must end in ValidationError
+    # json.loads recurses and gives out near the limit, which must end in
+    # ValidationError; the conversion to nested tuples is iterative
     limit = sys.getrecursionlimit()
     outcomes = set()
     for depth in range(limit - 200, limit + 50):
@@ -48,6 +49,47 @@ def test_parse_plan_rejects_trees_nested_past_the_recursion_limit():
             assert "nested too deeply" in str(exc)
             outcomes.add("rejected")
     assert outcomes == {"parsed", "rejected"}
+
+
+def test_tree_conversion_has_no_depth_limit():
+    # 5000 levels each way, built here rather than by json.loads
+    left, right = "L0", "R0"
+    for i in range(1, 5000):
+        left, right = [left, f"L{i}"], [f"R{i}", right]
+    converted = _tree_from_obj([left, right])
+    assert tree_leaves(converted[0])[:3] == ("L0", "L1", "L2")
+    assert tree_leaves(converted[1])[-3:] == ("R2", "R1", "R0")
+
+
+def _recursive_tree_from_obj(obj):
+    if isinstance(obj, list):
+        if len(obj) != 2:
+            raise ValidationError(f"tree node must be a pair, got {obj!r}")
+        return (_recursive_tree_from_obj(obj[0]), _recursive_tree_from_obj(obj[1]))
+    if type(obj) is int or type(obj) is str:
+        return obj
+    raise ValidationError(f"tree leaf must be a node id, got {obj!r}")
+
+
+def _outcome(convert, obj):
+    try:
+        return convert(obj)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_tree_conversion_reports_faults_in_left_first_order():
+    rng = random.Random(11)
+    leaves = ["a", 7, 2.5, None, True, [], [1], [1, 2, 3], ["x", "y"], ["x", 2.5]]
+
+    def draw(depth):
+        if depth > 5 or rng.random() < 0.3:
+            return rng.choice(leaves)
+        return [draw(depth + 1) for _ in range(rng.choice((2, 2, 2, 2, 1, 3)))]
+
+    for _ in range(3000):
+        obj = draw(0)
+        assert _outcome(_tree_from_obj, obj) == _outcome(_recursive_tree_from_obj, obj)
 
 
 def test_tree_leaves_in_left_to_right_order():
