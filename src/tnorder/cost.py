@@ -14,8 +14,9 @@ are exact by construction: every shared leg is a factor of both operand
 sizes.
 
 ``evaluate_tree`` checks the plan inside its pricing walk, and
-``evaluate_linear`` with one bulk set comparison. A plan either rejects
-goes to ``validate_plan`` only to raise that function's exact message.
+``evaluate_linear`` with bulk checks of the ids' exact types and set. A
+plan either rejects goes to ``validate_plan`` only to raise that
+function's exact message.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from bisect import bisect_right
 from math import prod
 from typing import NamedTuple, NoReturn, Sequence
 
-from .network import NodeId, TensorNetwork
+from .network import _ID_TYPES, NodeId, TensorNetwork
 from .plans import ContractionPlan, LinearPlan, TreeNode, TreePlan, validate_plan
 
 __all__ = ["LinearCostReport", "evaluate_linear", "evaluate_tree"]
@@ -55,11 +56,12 @@ def evaluate_linear(
     else:
         order = tuple(order)
     open_mult, adjacency = net.open_mult, net.adjacency
-    try:
-        covers = len(order) == len(open_mult) and open_mult.keys() == set(order)
-    except TypeError:  # an unhashable entry
-        covers = False
-    if not covers:
+    # exact types first: True == 1, and a list is unhashable
+    if not (
+        len(order) == len(open_mult)
+        and set(map(type, order)) <= _ID_TYPES
+        and open_mult.keys() == set(order)
+    ):
         _invalid(net, LinearPlan(order))
 
     first = order[0]

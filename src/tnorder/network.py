@@ -15,8 +15,8 @@ ever rounds a size or a cost.
 from __future__ import annotations
 
 import json
-from operator import itemgetter, methodcaller
-from typing import Any, Iterable, Iterator, Mapping, NoReturn, Union
+from itertools import repeat
+from typing import Any, Iterable, Iterator, Mapping, Union
 
 NodeId = Union[int, str]
 
@@ -49,87 +49,22 @@ def id_key(node_id: NodeId) -> tuple[int, int, str]:
     return (1, 0, node_id)
 
 
-def _check_positive_int(value: Any, what: str) -> int:
+# Echoed input is cut to 200 characters, so a huge value cannot flood stderr.
+def _check_positive_int(value: Any, what: str) -> None:
     if type(value) is not int:
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
+        raise ValidationError(f"{what} must be an integer, got {value!r:.200}")
     if value < 1:
         raise ValidationError(f"{what} must be >= 1, got {value}")
-    return value
 
 
-def _check_node_id(value: Any) -> NodeId:
+def _check_node_id(value: Any) -> None:
     if type(value) is not int and type(value) is not str:
-        raise ValidationError(f"node id must be an integer or string, got {value!r}")
-    return value
+        raise ValidationError(
+            f"node id must be an integer or string, got {value!r:.200}"
+        )
 
 
 _ID_TYPES = frozenset((int, str))
-_INT_TYPE = frozenset((int,))
-_get_id = itemgetter("id")
-_get_open = methodcaller("get", "open", 1)
-_get_edge = itemgetter("u", "v", "size")
-
-
-def _bulk_build(
-    ids: list, mults: list, edges: list[tuple]
-) -> tuple[dict[NodeId, int], dict[NodeId, dict[NodeId, int]]] | None:
-    """``open_mult`` and the adjacency, or None when any node or edge breaks
-    a rule (see ``TensorNetwork``)."""
-    if not (
-        set(map(type, ids)) <= _ID_TYPES
-        and set(map(type, mults)) <= _INT_TYPE
-        and min(mults) >= 1
-    ):
-        return None
-    open_mult = dict(zip(ids, mults))
-    if len(open_mult) != len(ids):
-        return None
-    adjacency: dict[NodeId, dict[NodeId, int]] = {v: {} for v in open_mult}
-    if not edges:
-        return open_mult, adjacency
-    if set(map(len, edges)) != {3}:
-        return None
-    us, vs, sizes = zip(*edges)
-    if not (
-        set(map(type, us)) | set(map(type, vs)) <= _ID_TYPES
-        and set(map(type, sizes)) <= _INT_TYPE
-        and min(sizes) >= 1
-    ):
-        return None
-    try:
-        for u, v, size in edges:
-            adjacency[u][v] = size
-            adjacency[v][u] = size
-    except KeyError:  # an endpoint that is no node
-        return None
-    # each edge adds two entries, unless it is a self-loop or its pair repeats
-    if sum(map(len, adjacency.values())) != 2 * len(edges):
-        return None
-    return open_mult, adjacency
-
-
-def _diagnose(ids: list, mults: list, edges: list[tuple]) -> NoReturn:
-    """Per-item checks in input order: raise the first fault's message."""
-    open_mult: dict[NodeId, int] = {}
-    for v, mult in zip(ids, mults):
-        _check_node_id(v)
-        if v in open_mult:
-            raise ValidationError(f"duplicate node id {v!r}")
-        open_mult[v] = _check_positive_int(mult, f"open_mult of node {v!r}")
-    adjacency: dict[NodeId, set[NodeId]] = {v: set() for v in open_mult}
-    for u, v, size in edges:
-        for endpoint in (u, v):
-            # exact types first: True == 1, and a list is unhashable
-            if type(endpoint) not in _ID_TYPES or endpoint not in adjacency:
-                raise ValidationError(f"edge references unknown node id {endpoint!r}")
-        if u == v:
-            raise ValidationError(f"self-loop at node {u!r}")
-        if v in adjacency[u]:
-            raise ValidationError(f"duplicate edge between {u!r} and {v!r}")
-        _check_positive_int(size, f"size of edge {u!r}-{v!r}")
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    raise AssertionError("bulk validation rejected a network with no fault")
 
 
 class TensorNetwork:
@@ -148,12 +83,11 @@ class TensorNetwork:
     for any structural problem: duplicate ids, self-loops, duplicate edges,
     non-positive sizes, unknown endpoints, or a disconnected graph.
 
-    Validation runs in bulk: C-level passes over whole columns check id
-    and size types and the least size, and building the adjacency exposes
-    unknown endpoints (a missing key), self-loops and duplicate edges (a
-    degree sum short of twice the edge count). Only when a bulk check
-    fails do the per-item checks run, to name the first fault in input
-    order.
+    One loop over the nodes, then one over the edges, checks each item
+    once, in input order, and raises the first fault's message: a node's
+    id type, then a repeated id, then its ``open_mult``; an edge's shape,
+    its endpoints, a self-loop, a repeated pair, then its size.
+    Connectivity is checked last.
     """
 
     __slots__ = ("nodes", "edges", "open_mult", "adjacency", "_tensor_size")
@@ -163,19 +97,44 @@ class TensorNetwork:
         nodes: Mapping[NodeId, int] | Iterable[NodeId],
         edges: Iterable[tuple[NodeId, NodeId, int]],
     ) -> None:
-        if isinstance(nodes, Mapping):
-            ids, mults = list(nodes), list(nodes.values())
-        else:
-            ids = list(nodes)
-            mults = [1] * len(ids)
-        if not ids:
+        items = nodes.items() if isinstance(nodes, Mapping) else zip(nodes, repeat(1))
+        open_mult: dict[NodeId, int] = {}
+        adjacency: dict[NodeId, dict[NodeId, int]] = {}
+        for v, mult in items:
+            if type(v) not in _ID_TYPES:
+                _check_node_id(v)
+            if v in open_mult:
+                raise ValidationError(f"duplicate node id {v!r}")
+            if type(mult) is not int or mult < 1:
+                _check_positive_int(mult, f"open_mult of node {v!r}")
+            open_mult[v] = mult
+            adjacency[v] = {}
+        if not open_mult:
             raise ValidationError("network must contain at least one node")
-        edge_list = list(map(tuple, edges))
 
-        built = _bulk_build(ids, mults, edge_list)
-        if built is None:
-            _diagnose(ids, mults, edge_list)
-        open_mult, adjacency = built
+        edge_list = list(map(tuple, edges))
+        for edge in edge_list:
+            try:
+                u, v, size = edge
+            except ValueError:
+                raise ValidationError(
+                    f"edge must be a (u, v, size) triple, got {edge!r:.200}"
+                ) from None
+            # exact types first: True == 1, and a list is unhashable
+            adj_u = adjacency.get(u) if type(u) in _ID_TYPES else None
+            if adj_u is None:
+                raise ValidationError(f"edge references unknown node id {u!r:.200}")
+            adj_v = adjacency.get(v) if type(v) in _ID_TYPES else None
+            if adj_v is None:
+                raise ValidationError(f"edge references unknown node id {v!r:.200}")
+            if u == v:
+                raise ValidationError(f"self-loop at node {u!r}")
+            if v in adj_u:
+                raise ValidationError(f"duplicate edge between {u!r} and {v!r}")
+            if type(size) is not int or size < 1:
+                _check_positive_int(size, f"size of edge {u!r}-{v!r}")
+            adj_u[v] = size
+            adj_v[u] = size
 
         self.nodes: tuple[NodeId, ...] = tuple(open_mult)
         self.edges: tuple[tuple[NodeId, NodeId, int], ...] = tuple(edge_list)
@@ -245,9 +204,12 @@ def parse_network(text: str) -> TensorNetwork:
          "edges": [{"u": "T1", "v": "T2", "size": 1}, ...]}
 
     ``open`` is optional and defaults to 1. Raises ``ValidationError`` with
-    a diagnostic naming the offending element on any violation. Records
-    are read in bulk; a record that is not an object with the keys it
-    needs is named by its index, with its text cut to 200 characters.
+    a diagnostic naming the offending element on any violation. One loop
+    reads the node records in file order, checking each one's shape, id
+    type and uniqueness; a second reads the edge records' shapes. A record
+    that is not an object with the keys it needs is named by its index,
+    with its text cut to 200 characters. ``TensorNetwork`` then checks the
+    ``open`` values, the edges and connectivity.
     """
     try:
         obj = json.loads(text)
@@ -263,39 +225,21 @@ def parse_network(text: str) -> TensorNetwork:
         if not isinstance(obj[key], list):
             raise ValidationError(f"network {key!r} must be a list")
 
-    node_records, edge_records = obj["nodes"], obj["edges"]
-    ids = _column(node_records, _get_id)
-    edges = _column(edge_records, _get_edge)
-    if ids is None or edges is None or not set(map(type, ids)) <= _ID_TYPES:
-        _diagnose_records(node_records, edge_records)
-    nodes = dict(zip(ids, map(_get_open, node_records)))
-    if len(nodes) != len(ids):
-        _diagnose_records(node_records, edge_records)
-    return TensorNetwork(nodes, edges)
-
-
-def _column(records: list, getter) -> list | None:
-    """``getter`` applied to every record, or None unless every record is
-    an object holding the keys it reads."""
-    if not set(map(type, records)) <= {dict}:
-        return None
-    try:
-        return list(map(getter, records))
-    except KeyError:
-        return None
-
-
-def _diagnose_records(node_records: list, edge_records: list) -> NoReturn:
-    """Per-record checks in file order: raise the first fault's message."""
-    seen: set[NodeId] = set()
-    for i, record in enumerate(node_records):
-        if not isinstance(record, dict) or "id" not in record:
-            raise ValidationError(f"nodes[{i}] is malformed: {record!r:.200}")
-        v = _check_node_id(record["id"])
-        if v in seen:
+    nodes: dict[NodeId, int] = {}
+    for i, record in enumerate(obj["nodes"]):
+        try:
+            v = record["id"]
+        except (KeyError, TypeError):
+            raise ValidationError(f"nodes[{i}] is malformed: {record!r:.200}") from None
+        if type(v) not in _ID_TYPES:
+            _check_node_id(v)
+        if v in nodes:
             raise ValidationError(f"duplicate node id {v!r}")
-        seen.add(v)
-    for i, record in enumerate(edge_records):
-        if not isinstance(record, dict) or not {"u", "v", "size"} <= record.keys():
-            raise ValidationError(f"edges[{i}] is malformed: {record!r:.200}")
-    raise AssertionError("bulk validation rejected records with no fault")
+        nodes[v] = record.get("open", 1)
+    edges: list[tuple] = []
+    for i, record in enumerate(obj["edges"]):
+        try:
+            edges.append((record["u"], record["v"], record["size"]))
+        except (KeyError, TypeError):
+            raise ValidationError(f"edges[{i}] is malformed: {record!r:.200}") from None
+    return TensorNetwork(nodes, edges)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple, Union
 
-from .network import NodeId, TensorNetwork, ValidationError
+from .network import _ID_TYPES, NodeId, TensorNetwork, ValidationError
 
 TreeNode = Union[NodeId, tuple]
 
@@ -81,7 +81,7 @@ def tree_leaves(node: TreeNode) -> tuple[NodeId, ...]:
         elif type(item) is int or type(item) is str:
             out.append(item)
         else:
-            raise ValidationError(f"tree leaf must be a node id, got {item!r}")
+            raise ValidationError(f"tree leaf must be a node id, got {item!r:.200}")
     return tuple(out)
 
 
@@ -97,11 +97,11 @@ def _tree_from_obj(obj) -> TreeNode:
     while True:
         while type(item) is list:  # down the left spine
             if len(item) != 2:
-                raise ValidationError(f"tree node must be a pair, got {item!r}")
+                raise ValidationError(f"tree node must be a pair, got {item!r:.200}")
             item, right = item
             stack.append(right)
         if type(item) is not int and type(item) is not str:
-            raise ValidationError(f"tree leaf must be a node id, got {item!r}")
+            raise ValidationError(f"tree leaf must be a node id, got {item!r:.200}")
         done.append(item)
         while stack:
             item = stack.pop()
@@ -114,7 +114,7 @@ def _tree_from_obj(obj) -> TreeNode:
                 stack.append(_PAIR)
                 break
             else:
-                raise ValidationError(f"tree leaf must be a node id, got {item!r}")
+                raise ValidationError(f"tree leaf must be a node id, got {item!r:.200}")
         else:
             return done[0]
 
@@ -139,13 +139,15 @@ def parse_plan(text: str) -> ContractionPlan:
         if "root" not in obj:
             raise ValidationError("tree plan must have a 'root' field")
         return TreePlan(_tree_from_obj(obj["root"]))
-    raise ValidationError(f"unknown plan type {kind!r}")
+    raise ValidationError(f"unknown plan type {kind!r:.200}")
 
 
 def _check_leaf(v) -> NodeId:
     if type(v) is int or type(v) is str:
         return v
-    raise ValidationError(f"plan node id must be an integer or string, got {v!r}")
+    raise ValidationError(
+        f"plan node id must be an integer or string, got {v!r:.200}"
+    )
 
 
 def validate_plan(net: TensorNetwork, plan: ContractionPlan) -> None:
@@ -155,11 +157,12 @@ def validate_plan(net: TensorNetwork, plan: ContractionPlan) -> None:
     elif isinstance(plan, TreePlan):
         seq = tree_leaves(plan.root)
     else:
-        raise ValidationError(f"not a contraction plan: {plan!r}")
+        raise ValidationError(f"not a contraction plan: {plan!r:.200}")
     seen: set[NodeId] = set()
     for v in seq:
-        if v not in net.open_mult:
-            raise ValidationError(f"plan references unknown node id {v!r}")
+        # exact types first: True == 1, and a list is unhashable
+        if type(v) not in _ID_TYPES or v not in net.open_mult:
+            raise ValidationError(f"plan references unknown node id {v!r:.200}")
         if v in seen:
             raise ValidationError(f"plan lists node {v!r} more than once")
         seen.add(v)

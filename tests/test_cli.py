@@ -418,6 +418,21 @@ def test_huge_malformed_record_gives_a_short_error(tmp_path, capsys):
     assert len(err.encode()) < 1024
 
 
+def test_cost_cuts_huge_echoed_values(five_tensor_file, tmp_path, capsys):
+    huge = list(range(200_000))
+    bad_net, bad_plan = tmp_path / "bad_net.json", tmp_path / "bad_plan.json"
+    bad_net.write_text(json.dumps({"nodes": [huge], "edges": []}))
+    bad_plan.write_text(json.dumps({"type": "tree", "root": [huge, "T1"]}))
+    for network, plan, start in (
+        (str(bad_net), str(bad_plan), "error: nodes[0] is malformed: [0, 1, 2,"),
+        (five_tensor_file, str(bad_plan), "error: tree node must be a pair, got [0, 1, 2,"),
+    ):
+        assert main(["cost", "--network", network, "--plan", plan]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(start)
+        assert len(err.encode()) < 1024
+
+
 def test_undecodable_files_are_validation_errors(
     five_tensor_file, tmp_path, capsys
 ):

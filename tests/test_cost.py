@@ -200,6 +200,8 @@ BAD_ORDERS = {
     "non-pair": (("T1", "T2", "T3", ("T4", "T5")),
                  "plan references unknown node id ('T4', 'T5')"),
     "non-id leaf": (("T1", "T2", "T3", "T4", 2.5), "plan references unknown node id 2.5"),
+    "unhashable id": (("T1", "T2", "T3", "T4", ["T5"]),
+                      "plan references unknown node id ['T5']"),
     "two faults": (("T1", "T1", "T9", "T3", "T4"), "plan lists node 'T1' more than once"),
 }
 
@@ -226,3 +228,17 @@ def test_evaluate_linear_raises_validate_plans_message(five_tensor_net, case):
         with pytest.raises(ValidationError) as exc:
             check()
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("alias", [True, 1.0, [1]])
+def test_an_id_equal_to_a_node_but_of_another_type_is_unknown(alias):
+    # True == 1 and 1.0 == 1, yet neither is node 1; [1] is unhashable
+    net = TensorNetwork({1: 1, "b": 1}, [(1, "b", 2)])
+    order = (alias, "b")
+    for check in (
+        lambda: validate_plan(net, LinearPlan(order)),
+        lambda: evaluate_linear(net, order),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            check()
+        assert str(exc.value) == f"plan references unknown node id {alias!r}"

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -220,6 +221,15 @@ BAD_NETWORKS = {
     "duplicate edge, then disconnected": (
         [("a", 1), ("b", 1), ("c", 1)], [("a", "b", 2), ("a", "b", 2)],
         "duplicate edge between 'a' and 'b'"),
+    # the JSON format cannot hold the short or long edges below: its edge
+    # records have named keys
+    "edge of two items": ([("a", 1), ("b", 1)], [("a", "b")],
+                          "edge must be a (u, v, size) triple, got ('a', 'b')"),
+    "edge of four items": ([("a", 1), ("b", 1)], [("a", "b", 2, 3)],
+                           "edge must be a (u, v, size) triple, got ('a', 'b', 2, 3)"),
+    "unknown endpoint, then short edge": (
+        [("a", 1), ("b", 1)], [("a", "z", 2), ("a",)],
+        "edge references unknown node id 'z'"),
 }
 
 
@@ -230,14 +240,14 @@ def test_invalid_network_raises_its_exact_message(case):
         nodes = [v for v, _mult in node_pairs]  # keeps a repeated id
     else:
         nodes = dict(node_pairs)
-    doc = {
-        "nodes": [{"id": v, "open": mult} for v, mult in node_pairs],
-        "edges": [{"u": u, "v": v, "size": size} for u, v, size in edges],
-    }
-    for build in (
-        lambda: TensorNetwork(nodes, edges),
-        lambda: parse_network(json.dumps(doc)),
-    ):
+    builds = [lambda: TensorNetwork(nodes, edges)]
+    if all(len(edge) == 3 for edge in edges):
+        doc = {
+            "nodes": [{"id": v, "open": mult} for v, mult in node_pairs],
+            "edges": [{"u": u, "v": v, "size": size} for u, v, size in edges],
+        }
+        builds.append(lambda: parse_network(json.dumps(doc)))
+    for build in builds:
         with pytest.raises(ValidationError) as exc:
             build()
         assert str(exc.value) == message
@@ -252,6 +262,23 @@ def test_parse_network_cuts_a_huge_malformed_record():
     assert len(message) < 300
 
 
+@pytest.mark.parametrize("doc, start", [
+    ({"nodes": [{"id": list(range(200_000))}], "edges": []},
+     "node id must be an integer or string, got [0, 1, 2,"),
+    ({"nodes": [{"id": "a", "open": list(range(200_000))}], "edges": []},
+     "open_mult of node 'a' must be an integer, got [0, 1, 2,"),
+    ({"nodes": [{"id": "a"}, {"id": "b"}],
+      "edges": [{"u": "a", "v": list(range(200_000)), "size": 2}]},
+     "edge references unknown node id [0, 1, 2,"),
+])
+def test_parse_network_cuts_a_huge_echoed_value(doc, start):
+    with pytest.raises(ValidationError) as exc:
+        parse_network(json.dumps(doc))
+    message = str(exc.value)
+    assert message.startswith(start)
+    assert len(message) < 300
+
+
 def test_parse_network_checks_node_records_before_edge_records():
     doc = {"nodes": [{"id": "a"}, {"id": "b", "open": 0}, {"id": 2.5}],
            "edges": [{"u": "a"}]}
@@ -260,3 +287,57 @@ def test_parse_network_checks_node_records_before_edge_records():
     doc["nodes"][2] = {"id": "c"}
     with pytest.raises(ValidationError, match=r"^edges\[0\] is malformed: \{'u': 'a'\}$"):
         parse_network(json.dumps(doc))
+
+
+def _loopy(n, seed):
+    """A random tree on ids 0..n-1 plus n // 8 extra edges, each drawn
+    with random orientation, sizes and open legs."""
+    rng = random.Random(seed)
+    opens = {v: rng.randint(1, 4) for v in range(n)}
+    pairs = {frozenset((v, rng.randrange(v))) for v in range(1, n)}
+    while len(pairs) < n - 1 + n // 8:
+        pairs.add(frozenset(rng.sample(range(n), 2)))
+    edges = [(*rng.sample(sorted(pair), 2), rng.randint(2, 9)) for pair in pairs]
+    rng.shuffle(edges)
+    return opens, edges
+
+
+def _doc(opens, edges):
+    return json.dumps({
+        "nodes": [{"id": v, "open": m} for v, m in opens.items()],
+        "edges": [{"u": u, "v": v, "size": s} for u, v, s in edges],
+    })
+
+
+def test_large_network_matches_an_independent_build():
+    opens, edges = _loopy(4096, seed=3)
+    adjacency = {v: [] for v in opens}
+    for u, v, size in edges:
+        adjacency[u].append((v, size))
+        adjacency[v].append((u, size))
+    for net in (TensorNetwork(opens, edges), parse_network(_doc(opens, edges))):
+        assert net.nodes == tuple(opens)
+        assert net.edges == tuple(edges)
+        assert net.open_mult == opens
+        assert not net.is_tree
+        for v in opens:
+            assert list(net.adjacency[v].items()) == adjacency[v]
+
+
+@pytest.mark.parametrize("fault", ["last node", "last edge"])
+def test_large_network_names_a_fault_at_its_end(fault):
+    opens, edges = _loopy(4096, seed=4)
+    if fault == "last node":
+        opens[4095] = 0
+        message = "open_mult of node 4095 must be >= 1, got 0"
+    else:
+        u, v, _size = edges[-1]
+        edges[-1] = (u, v, -2)
+        message = f"size of edge {u}-{v} must be >= 1, got -2"
+    for build in (
+        lambda: TensorNetwork(opens, edges),
+        lambda: parse_network(_doc(opens, edges)),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            build()
+        assert str(exc.value) == message

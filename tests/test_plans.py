@@ -64,11 +64,11 @@ def test_tree_conversion_has_no_depth_limit():
 def _recursive_tree_from_obj(obj):
     if isinstance(obj, list):
         if len(obj) != 2:
-            raise ValidationError(f"tree node must be a pair, got {obj!r}")
+            raise ValidationError(f"tree node must be a pair, got {obj!r:.200}")
         return (_recursive_tree_from_obj(obj[0]), _recursive_tree_from_obj(obj[1]))
     if type(obj) is int or type(obj) is str:
         return obj
-    raise ValidationError(f"tree leaf must be a node id, got {obj!r}")
+    raise ValidationError(f"tree leaf must be a node id, got {obj!r:.200}")
 
 
 def _outcome(convert, obj):
@@ -102,6 +102,40 @@ def test_tree_leaves_rejects_non_pair():
         tree_leaves(("a",))
     with pytest.raises(ValidationError):
         tree_leaves((("a", "b"), 2.5))
+
+
+HUGE = list(range(200_000))  # its repr is about 1.49 MB
+
+
+@pytest.mark.parametrize("doc, start", [
+    ({"type": "tree", "root": [HUGE, "a"]}, "tree node must be a pair, got [0, 1, 2,"),
+    ({"type": "tree", "root": ["a", [HUGE, "b"]]},
+     "tree node must be a pair, got [0, 1, 2,"),
+    ({"type": "tree", "root": [{"big": HUGE}, "a"]},
+     "tree leaf must be a node id, got {'big': [0, 1, 2,"),
+    ({"type": "tree", "root": ["a", {"big": HUGE}]},
+     "tree leaf must be a node id, got {'big': [0, 1, 2,"),
+    ({"type": "linear", "order": ["a", HUGE]},
+     "plan node id must be an integer or string, got [0, 1, 2,"),
+    ({"type": HUGE}, "unknown plan type [0, 1, 2,"),
+])
+def test_parse_plan_cuts_a_huge_echoed_value(doc, start):
+    with pytest.raises(ValidationError) as exc:
+        parse_plan(json.dumps(doc))
+    message = str(exc.value)
+    assert message.startswith(start)
+    assert len(message) < 300
+
+
+def test_plan_checks_cut_a_huge_echoed_value(five_tensor_net):
+    with pytest.raises(ValidationError) as exc:
+        tree_leaves(("a", frozenset(HUGE)))
+    assert str(exc.value).startswith("tree leaf must be a node id, got frozenset(")
+    assert len(str(exc.value)) < 300
+    with pytest.raises(ValidationError) as exc:
+        validate_plan(five_tensor_net, LinearPlan(("T1", "x" * 200_000)))
+    assert str(exc.value).startswith("plan references unknown node id 'xxx")
+    assert len(str(exc.value)) < 300
 
 
 def test_validate_plan_accepts_exact_cover(five_tensor_net):
