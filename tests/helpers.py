@@ -218,3 +218,113 @@ def random_precedence_order(rng: random.Random, nodes, edges, root):
         order.append(v)
         available.extend(children[v])
     return order
+
+
+# ------------------------------------------------------------ path oracle
+
+
+def path_linear_optimum(nodes, edges) -> int:
+    """Cheapest outer-product-free linear cost of a path network.
+
+    On a path every connected prefix is an interval [i, j] of the path,
+    and an outer-product-free order grows it by one node at its left or
+    right end. So ``best[i][j]``, the cheapest way to contract the
+    interval, is the smaller of extending [i + 1, j] by i and [i, j - 1]
+    by j: O(n^2) states. Joining node i to [i + 1, j] costs
+    size([i + 1, j]) * size(i) / e(i, i + 1), which is the open product
+    of i + 1..j times the outer bond of [i + 1, j] times size(i).
+    Rows run from the right end leftwards, so only one row is kept.
+    """
+    adj = {v: {} for v in nodes}
+    for u, v, size in edges:
+        adj[u][v] = size
+        adj[v][u] = size
+    assert len(edges) == len(nodes) - 1 and all(len(a) <= 2 for a in adj.values())
+    # walk the path from one end; `bond[i]` joins path[i] and path[i + 1]
+    path = [next(v for v in nodes if len(adj[v]) <= 1)]
+    bond = []
+    while len(path) < len(nodes):
+        prev = path[-2] if len(path) > 1 else None
+        nxt = next(v for v in adj[path[-1]] if v != prev)
+        bond.append(adj[path[-1]][nxt])
+        path.append(nxt)
+    n = len(path)
+    open_ = [nodes[v] for v in path]
+    left = [1] + bond  # bond to the left of position i, 1 at the end
+    right = bond + [1]
+    size = [open_[i] * left[i] * right[i] for i in range(n)]
+
+    # row i + 1: best[j] and opens[j] = open product over i + 1..j
+    best: list[int] = []
+    opens: list[int] = []
+    for i in range(n - 1, -1, -1):
+        row_best = [0]
+        row_opens = [open_[i]]
+        for j in range(i + 1, n):
+            k = j - i - 1  # index of j in row i + 1, which starts at i + 1
+            # i joins [i + 1, j]; j joins [i, j - 1]
+            via_left = best[k] + opens[k] * right[j] * size[i]
+            via_right = row_best[-1] + row_opens[-1] * left[i] * size[j]
+            row_best.append(min(via_left, via_right))
+            row_opens.append(row_opens[-1] * open_[j])
+        best, opens = row_best, row_opens
+    return best[-1]
+
+
+# ------------------------------------------------------ shaped tree data
+# Each builder draws every value from ``rng`` and returns (nodes, edges).
+# Integer ids (paths, TTNs) and string ids (the rest) both occur, so the
+# id tie-break is exercised on both kinds.
+
+
+def mps_path_data(rng: random.Random, n: int, bond_lo=2, bond_hi=10,
+                  open_lo=2, open_hi=4):
+    """A path 0 - 1 - ... - n-1 with a physical (open) leg on every node,
+    like a matrix product state."""
+    nodes = {i: rng.randint(open_lo, open_hi) for i in range(n)}
+    edges = [(i, i + 1, rng.randint(bond_lo, bond_hi)) for i in range(n - 1)]
+    return nodes, edges
+
+
+def star_data(rng: random.Random, n: int, dim_lo=2, dim_hi=10, open_hi=3):
+    """A hub joined to n - 1 leaves, edges in shuffled order."""
+    nodes = {f"S{i}": rng.randint(1, open_hi) for i in range(n)}
+    edges = [("S0", f"S{i}", rng.randint(dim_lo, dim_hi)) for i in range(1, n)]
+    rng.shuffle(edges)
+    return nodes, edges
+
+
+def caterpillar_data(rng: random.Random, n: int, dim_lo=1, dim_hi=10, open_hi=3):
+    """A spine of n // 2 nodes, each further node a leaf on a random
+    spine node."""
+    spine = max(1, n // 2)
+    nodes = {f"C{i}": rng.randint(1, open_hi) for i in range(n)}
+    edges = [
+        (f"C{i - 1 if i < spine else rng.randrange(spine)}", f"C{i}",
+         rng.randint(dim_lo, dim_hi))
+        for i in range(1, n)
+    ]
+    rng.shuffle(edges)
+    return nodes, edges
+
+
+def binary_ttn_data(rng: random.Random, n: int, bond_lo=2, bond_hi=10,
+                    phys_lo=2, phys_hi=4):
+    """A balanced binary tree tensor network: node i hangs below
+    (i - 1) // 2, and each leaf carries a physical leg."""
+    nodes = {i: 1 for i in range(n)}
+    for i in range(n):
+        if 2 * i + 1 >= n:
+            nodes[i] = rng.randint(phys_lo, phys_hi)
+    edges = [((i - 1) // 2, i, rng.randint(bond_lo, bond_hi)) for i in range(1, n)]
+    return nodes, edges
+
+
+def spider_data(rng: random.Random, n: int, leg=2, dim_lo=2, dim_hi=10, open_hi=1):
+    """A hub with legs of ``leg`` nodes each (the last one may be shorter)."""
+    nodes = {f"H{i}": rng.randint(1, open_hi) for i in range(n)}
+    edges = [
+        (f"H{0 if (i - 1) % leg == 0 else i - 1}", f"H{i}", rng.randint(dim_lo, dim_hi))
+        for i in range(1, n)
+    ]
+    return nodes, edges
