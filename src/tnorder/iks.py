@@ -26,6 +26,13 @@ A compound formed by a subtree root absorbing entries is kept over
 Q = w^2 of that root, with P the exact size of its tensor (see
 ``_absorb``), so its integers do not grow with its member count.
 
+Inside the solver an entry is a plain tuple ``(P, Q, Cn, lead_key,
+members)``, where ``lead_key`` is ``id_key`` of its leading member,
+computed once per node. Chains are sorted by (rank, lead_key): entries
+being merged cover disjoint nodes, so their leading ids differ and a
+rank tie always resolves the same way. The public ``SequenceEntry``
+(members, P, Q, Cn) is what ``linearized_chain`` returns.
+
 The chain of the subtree at v seen from its neighbour p depends only on
 the directed edge (v, p), so ``iks_order`` linearizes each directed edge
 at most once, 2(n - 1) in all, and every rooting reuses them. It shares
@@ -95,25 +102,30 @@ def rank_leq(U: SequenceEntry, V: SequenceEntry) -> bool:
     return (U.P - U.Q) * V.Cn <= (V.P - V.Q) * U.Cn
 
 
-def _merge_cmp(a: SequenceEntry, b: SequenceEntry) -> int:
-    lhs = (a.P - a.Q) * b.Cn
-    rhs = (b.P - b.Q) * a.Cn
+# (P, Q, Cn, lead_key, members): the solver's own entries, see the module
+# docstring
+Entry = tuple[int, int, int, tuple[int, int, str], tuple[NodeId, ...]]
+
+
+def _merge_cmp(a: Entry, b: Entry) -> int:
+    Pa, Qa, Cna, ka, _ = a
+    Pb, Qb, Cnb, kb, _ = b
+    lhs = (Pa - Qa) * Cnb
+    rhs = (Pb - Qb) * Cna
     if lhs != rhs:
         return -1 if lhs < rhs else 1
     # entries being merged cover disjoint nodes, so leading ids differ
-    return -1 if id_key(a.members[0]) < id_key(b.members[0]) else 1
+    return -1 if ka < kb else 1
 
 
 _merge_key = cmp_to_key(_merge_cmp)
 
 
-def merge_children(
-    linearized: list[list[SequenceEntry]],
-) -> list[SequenceEntry]:
-    """Merge rank-sorted chains into one rank-sorted chain.
+def merge_children(linearized: list[list[Entry]]) -> list[Entry]:
+    """Merge rank-sorted chains into one new rank-sorted chain.
 
-    Ties in rank break on the smallest leading node id. Leading ids are
-    distinct, so the result is the one ordering of all entries by
+    Ties in rank break on the smallest leading node id (its key). Leading
+    ids are distinct, so the result is the one ordering of all entries by
     (rank, leading id), whatever the order of the input chains.
     """
     if len(linearized) == 1:
@@ -123,10 +135,10 @@ def merge_children(
 
 
 def _absorb(
-    v: NodeId, F: int, w: int, merged: list[SequenceEntry]
-) -> list[SequenceEntry]:
-    """Chain of a subtree: its root ``v`` (size F, parent edge w) fused
-    with the head of its merged child chain.
+    v: NodeId, key: tuple[int, int, str], F: int, w: int, merged: list[Entry]
+) -> list[Entry]:
+    """Chain of a subtree: its root ``v`` (id key ``key``, size F, parent
+    edge w) fused with the head of its merged child chain.
 
     The root must come first, so while the next entry's rank is <= the
     root entry's, the pair is contradictory and the entry is fused in.
@@ -140,22 +152,29 @@ def _absorb(
     common factor it would carry, the product of the fused entries' Q,
     which grows with every fuse while size and cost stay as large as
     the tensors and costs themselves.
+
+    ``merged`` must be a list no one else holds: its fused head is
+    replaced by the root entry in place, and it is returned.
     """
+    Q, Cn = w * w, F * w
     size, cost = F, 0
     fused = 0
-    for _, Pe, Qe, Cne in merged:
+    for Pe, Qe, Cne, _, _ in merged:
         # not rank_leq(entry, root entry)
-        if (Pe - Qe) * (F * w + cost) > (size - w * w) * Cne:
+        if (Pe - Qe) * (Cn + cost) > (size - Q) * Cne:
             break
         cost += size * Cne // Qe
         size = size * Pe // Qe
         fused += 1
-    members = tuple(chain((v,), *(e.members for e in merged[:fused])))
-    head = SequenceEntry(members, size, w * w, F * w + cost)
-    return [head, *merged[fused:]]
+    if fused:
+        members = tuple(chain((v,), *[e[4] for e in merged[:fused]]))
+    else:
+        members = (v,)
+    merged[:fused] = [(size, Q, Cn + cost, key, members)]
+    return merged
 
 
-def _prefix_costs(size: int, entries: list[SequenceEntry]) -> list[int]:
+def _prefix_costs(size: int, entries: list[Entry]) -> list[int]:
     """Costs of contracting ``entries`` in order onto a prefix of ``size``.
 
     Item k is the total after the first k entries. The order is a suffix
@@ -167,7 +186,7 @@ def _prefix_costs(size: int, entries: list[SequenceEntry]) -> list[int]:
     """
     costs = [0]
     cost = 0
-    for _, P, Q, Cn in entries:
+    for P, Q, Cn, _, _ in entries:
         cost += size * Cn // Q
         size = size * P // Q
         costs.append(cost)
@@ -181,18 +200,19 @@ def _check_deadline(deadline: float | None) -> None:
 
 def _upward_chains(
     pg: PrecedenceGraph, deadline: float | None
-) -> dict[tuple[NodeId, NodeId], list[SequenceEntry]]:
+) -> dict[tuple[NodeId, NodeId], list[Entry]]:
     """Chain of the subtree at each non-root v, at key (v, parent of v).
 
     Built bottom-up: child chains are merged by rank, then the subtree
     root is fused with the chain head while its rank is >= the head's.
     """
-    chains: dict[tuple[NodeId, NodeId], list[SequenceEntry]] = {}
+    F, w, parent, children = pg.F, pg.w, pg.parent, pg.children
+    chains: dict[tuple[NodeId, NodeId], list[Entry]] = {}
     for v in reversed(pg.preorder[1:]):
         _check_deadline(deadline)
-        kids = [chains[u, v] for u in pg.children[v]]
-        merged = merge_children(kids) if kids else []
-        chains[v, pg.parent[v]] = _absorb(v, pg.F[v], pg.w[v], merged)
+        kids = children[v]
+        merged = merge_children([chains[u, v] for u in kids]) if kids else []
+        chains[v, parent[v]] = _absorb(v, id_key(v), F[v], w[v], merged)
     return chains
 
 
@@ -204,7 +224,10 @@ def linearized_chain(pg: PrecedenceGraph) -> list[SequenceEntry]:
     """
     root, chains = pg.root, _upward_chains(pg, None)
     merged = merge_children([chains[u, root] for u in pg.children[root]])
-    return _absorb(root, pg.F[root], 1, merged)
+    return [
+        SequenceEntry(members, P, Q, Cn)
+        for P, Q, Cn, _, members in _absorb(root, id_key(root), pg.F[root], 1, merged)
+    ]
 
 
 def linearize_root(pg: PrecedenceGraph) -> tuple[tuple[NodeId, ...], int]:
@@ -222,13 +245,17 @@ def _order_and_cost(
 ) -> tuple[tuple[NodeId, ...], int]:
     """The order ``linearized_chain(pg)`` stands for, with its exact cost."""
     head, *rest = chain
-    # the root entry is (its size, Q = 1, F(root) + its cost), see _absorb
-    cost = head.Cn - pg.F[pg.root] + _prefix_costs(head.P, rest)[-1]
+    # the root entry is (its size, Q = 1, F(root) + its cost), see _absorb;
+    # the rest is priced onto it as in _prefix_costs
+    size, cost = head.P, head.Cn - pg.F[pg.root]
+    for _, P, Q, Cn in rest:
+        cost += size * Cn // Q
+        size = size * P // Q
     return (*head.members, *(v for e in rest for v in e.members)), cost
 
 
 # (root, cost, head, entries, skip), see _rootings
-Rooting = tuple[NodeId, int, tuple[NodeId, ...], list[SequenceEntry], NodeId | None]
+Rooting = tuple[NodeId, int, tuple[NodeId, ...], list[Entry], int | None]
 
 
 def _rootings(net: TensorNetwork, deadline: float | None) -> Iterator[Rooting]:
@@ -248,41 +275,46 @@ def _rootings(net: TensorNetwork, deadline: float | None) -> Iterator[Rooting]:
     of its parent's rooting around the leaf's entry.
 
     Yields (root, cost, head, entries, skip): the order is ``head``
-    followed by the members of ``entries``, leaving out the entry led
-    by ``skip``.
+    followed by the members of ``entries``, leaving out the entry at
+    position ``skip`` unless it is ``None``.
     """
     pg = build_precedence_graph(net, net.nodes[0])
-    F, children = pg.F, pg.children
+    F, w, children, adjacency = pg.F, pg.w, pg.children, net.adjacency
     edge = _upward_chains(pg, deadline)
     for v in pg.preorder:
-        if v != pg.root and not children[v]:
+        kids = children[v]
+        if not kids and v != pg.root:
             continue  # a leaf: rooted at its parent's step below
         _check_deadline(deadline)
-        incoming = {u: edge.pop((u, v)) for u in net.adjacency[v]}
+        incoming = {u: edge.pop((u, v)) for u in adjacency[v]}
         merged = merge_children(list(incoming.values()))
-        costs = _prefix_costs(F[v], merged)
+        Fv = F[v]
+        costs = _prefix_costs(Fv, merged)
         yield v, costs[-1], (v,), merged, None
 
-        at: dict[NodeId, int] = {}
-        for u in children[v]:
+        key = at = None
+        for u in kids:
             _check_deadline(deadline)
-            w = pg.w[u]
+            wu = w[u]
             if children[u]:
-                skip = {e.members[0] for e in incoming[u]}
-                rest = [e for e in merged if e.members[0] not in skip]
-                edge[v, u] = _absorb(v, F[v], w, rest)
+                if key is None:
+                    key = id_key(v)
+                skip = {e[3] for e in incoming[u]}
+                rest = [e for e in merged if e[3] not in skip]
+                edge[v, u] = _absorb(v, key, Fv, wu, rest)
                 continue
             # Rooted at leaf u the order is u, v, then v's merged chain
             # without u's entry, which sits at position k. Against v's
             # rooting, contracting v costs F(u) * F(v) / w, the entries
             # before position k cost t(u) = F(u) / w^2 times as much (u is
             # already in the prefix) and those after it the same.
-            if not at:
-                at = {e.members[0]: k for k, e in enumerate(merged)}
+            if at is None:
+                at = {e[4][0]: k for k, e in enumerate(merged)}
             k = at[u]
-            cost = F[u] * F[v] // w + F[u] * costs[k] // (w * w)
+            Fu = F[u]
+            cost = Fu * Fv // wu + Fu * costs[k] // (wu * wu)
             cost += costs[-1] - costs[k + 1]
-            yield u, cost, (u, v), merged, u
+            yield u, cost, (u, v), merged, k
 
 
 def iks_order(
@@ -302,11 +334,16 @@ def iks_order(
             "use order_arbitrary for general networks"
         )
     best = None
-    for root, cost, head, entries, skip in _rootings(net, deadline):
-        key = (cost, id_key(root))
-        if best is None or key < best[0]:
-            best = key, head, entries, skip
+    for rooting in _rootings(net, deadline):
+        # the root's id key is needed only on a tie in cost
+        if (
+            best is None
+            or rooting[1] < best[1]
+            or (rooting[1] == best[1] and id_key(rooting[0]) < id_key(best[0]))
+        ):
+            best = rooting
     assert best is not None
-    (cost, _), head, entries, skip = best
-    rest = (v for e in entries if e.members[0] != skip for v in e.members)
-    return (*head, *rest), cost
+    _, cost, head, entries, skip = best
+    if skip is not None:
+        entries = entries[:skip] + entries[skip + 1 :]
+    return (*head, *(v for e in entries for v in e[4])), cost

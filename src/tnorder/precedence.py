@@ -19,9 +19,16 @@ its sequence entries (see ``iks``). t(v) < 1 is common and float
 comparisons could misorder near-ties, so nothing is ever rounded; t and
 c appear as exact ``Fraction``s only in ``format_precedence`` (the
 ``order --trace`` dump), which computes them on demand.
+
+A precedence graph is built by one iterative walk from the root, which
+records each node's parent, children, w and F as it reaches the node.
+``iks_order`` roots the tree once this way and derives every other
+rooting from it; ``order --trace`` builds one graph per root.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .network import NodeId, TensorNetwork, ValidationError
 
@@ -31,9 +38,10 @@ __all__ = ["PrecedenceGraph", "build_precedence_graph", "format_precedence"]
 class PrecedenceGraph:
     """Arborescence over a tree network, plus per-node rank ingredients.
 
-    Immutable after construction. ``preorder`` lists every node with each
-    parent before its children, in a deterministic order derived from the
-    network's edge order.
+    Not to be changed after construction. ``preorder`` lists every node
+    with each parent before its children, in a deterministic order
+    derived from the network's edge order; ``children[v]`` is the list of
+    v's children in adjacency order.
     """
 
     __slots__ = ("root", "parent", "children", "w", "F", "preorder")
@@ -47,25 +55,25 @@ class PrecedenceGraph:
                 "extract a spanning tree first"
             )
 
+        open_mult, adjacency = net.open_mult, net.adjacency
         parent: dict[NodeId, NodeId] = {}
-        children: dict[NodeId, tuple[NodeId, ...]] = {}
+        children: dict[NodeId, list[NodeId]] = {}
+        w: dict[NodeId, int] = {root: 1}
+        F: dict[NodeId, int] = {}
         preorder: list[NodeId] = []
         stack = [root]
         while stack:
             u = stack.pop()
             preorder.append(u)
+            adj = adjacency[u]
+            F[u] = prod(adj.values(), start=open_mult[u])
             up = parent.get(u)
-            kids = tuple(v for v in net.adjacency[u] if v != up)
+            kids = [v for v in adj if v != up]
             children[u] = kids
             for v in kids:
                 parent[v] = u
-                stack.append(v)
-
-        w: dict[NodeId, int] = {}
-        F: dict[NodeId, int] = {}
-        for v in preorder:
-            w[v] = 1 if v == root else net.adjacency[v][parent[v]]
-            F[v] = net.tensor_size(v)
+                w[v] = adj[v]
+            stack += kids
 
         self.root = root
         self.parent = parent

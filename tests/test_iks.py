@@ -21,6 +21,7 @@ from tnorder import (
     single_entry,
 )
 from tnorder.iks import linearize_root, linearized_chain, merge_children
+from tnorder.network import id_key
 from helpers import (
     min_linear_cost,
     random_precedence_order,
@@ -173,11 +174,15 @@ def test_fuse_matches_cost_composition(five_tensor_net):
 
 
 def test_merge_breaks_rank_ties_by_leading_id():
-    a = [entry(1, 2, 4, "B", "Z")]  # T = 1/2, C = 2
-    b = [entry(2, 4, 8, "A")]  # the same rank, unreduced
-    merged = merge_children([a, b])
-    assert [e.members[0] for e in merged] == ["A", "B"]
-    assert merge_children([b, a]) == merged
+    # the solver's entries: (P, Q, Cn, id key of the leading member, members)
+    a = [(1, 2, 4, id_key("B"), ("B", "Z"))]  # T = 1/2, C = 2
+    b = [(2, 4, 8, id_key("A"), ("A",))]  # the same rank, unreduced
+    c = [(3, 6, 12, id_key(10), (10,)), (2, 1, 1, id_key(1), (1,))]
+    d = [(4, 8, 16, id_key(9), (9,))]
+    merged = merge_children([a, b, c, d])
+    # integer ids first, in numeric order, then strings
+    assert [e[4][0] for e in merged] == [9, 10, "A", "B", 1]
+    assert merge_children([d, c, b, a]) == merged
 
 
 def test_linearized_chain_five_tensor_t4(five_tensor_net):

@@ -48,13 +48,13 @@ def test_five_tensor_shape_rooted_at_t4(five_tensor_net):
     assert pg.parent["T5"] == "T2"
     assert "T4" not in pg.parent
     assert set(pg.children["T4"]) == {"T2", "T3"}
-    assert pg.children["T1"] == ()
+    assert pg.children["T1"] == []
 
 
 def test_children_follow_edge_order(five_tensor_net):
     pg = build_precedence_graph(five_tensor_net, "T2")
     # T2's adjacency lists T1, T5, T4 in file order
-    assert pg.children["T2"] == ("T1", "T5", "T4")
+    assert pg.children["T2"] == ["T1", "T5", "T4"]
 
 
 def test_preorder_parents_first(five_tensor_net):
