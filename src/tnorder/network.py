@@ -49,18 +49,36 @@ def id_key(node_id: NodeId) -> tuple[int, int, str]:
     return (1, 0, node_id)
 
 
-# Echoed input is cut to 200 characters, so a huge value cannot flood stderr.
+_ECHO_INT_BOUND = 10**200
+
+
+def _echo(value: Any) -> str:
+    """``value`` as an error message shows it: its repr cut to 200
+    characters, so a huge value cannot flood stderr. An integer past 200
+    digits is named by its digit count instead, since Python refuses to
+    write one past 4,300 digits as text."""
+    if type(value) is not int or -_ECHO_INT_BOUND < value < _ECHO_INT_BOUND:
+        return f"{value!r:.200}"
+    size = abs(value)
+    # (bit_length - 1) * log10(2) never exceeds the digit count
+    digits = int((size.bit_length() - 1) * 0.30102999566398120)
+    while size >= 10**digits:
+        digits += 1
+    sign = "negative " if value < 0 else ""
+    return f"<{sign}integer of {digits} digits>"
+
+
 def _check_positive_int(value: Any, what: str) -> None:
     if type(value) is not int:
-        raise ValidationError(f"{what} must be an integer, got {value!r:.200}")
+        raise ValidationError(f"{what} must be an integer, got {_echo(value)}")
     if value < 1:
-        raise ValidationError(f"{what} must be >= 1, got {value}")
+        raise ValidationError(f"{what} must be >= 1, got {_echo(value)}")
 
 
 def _check_node_id(value: Any) -> None:
     if type(value) is not int and type(value) is not str:
         raise ValidationError(
-            f"node id must be an integer or string, got {value!r:.200}"
+            f"node id must be an integer or string, got {_echo(value)}"
         )
 
 
@@ -81,7 +99,9 @@ class TensorNetwork:
 
     Raises ``ValidationError`` with a message naming the offending element
     for any structural problem: duplicate ids, self-loops, duplicate edges,
-    non-positive sizes, unknown endpoints, or a disconnected graph.
+    non-positive sizes, unknown endpoints, or a disconnected graph. Every
+    echoed id or value is cut to 200 characters, and an integer past 200
+    digits is echoed as its digit count.
 
     One loop over the nodes, then one over the edges, checks each item
     once, in input order, and raises the first fault's message: a node's
@@ -104,9 +124,9 @@ class TensorNetwork:
             if type(v) not in _ID_TYPES:
                 _check_node_id(v)
             if v in open_mult:
-                raise ValidationError(f"duplicate node id {v!r}")
+                raise ValidationError(f"duplicate node id {_echo(v)}")
             if type(mult) is not int or mult < 1:
-                _check_positive_int(mult, f"open_mult of node {v!r}")
+                _check_positive_int(mult, f"open_mult of node {_echo(v)}")
             open_mult[v] = mult
             adjacency[v] = {}
         if not open_mult:
@@ -118,21 +138,21 @@ class TensorNetwork:
                 u, v, size = edge
             except ValueError:
                 raise ValidationError(
-                    f"edge must be a (u, v, size) triple, got {edge!r:.200}"
+                    f"edge must be a (u, v, size) triple, got {_echo(edge)}"
                 ) from None
             # exact types first: True == 1, and a list is unhashable
             adj_u = adjacency.get(u) if type(u) in _ID_TYPES else None
             if adj_u is None:
-                raise ValidationError(f"edge references unknown node id {u!r:.200}")
+                raise ValidationError(f"edge references unknown node id {_echo(u)}")
             adj_v = adjacency.get(v) if type(v) in _ID_TYPES else None
             if adj_v is None:
-                raise ValidationError(f"edge references unknown node id {v!r:.200}")
+                raise ValidationError(f"edge references unknown node id {_echo(v)}")
             if u == v:
-                raise ValidationError(f"self-loop at node {u!r}")
+                raise ValidationError(f"self-loop at node {_echo(u)}")
             if v in adj_u:
-                raise ValidationError(f"duplicate edge between {u!r} and {v!r}")
+                raise ValidationError(f"duplicate edge between {_echo(u)} and {_echo(v)}")
             if type(size) is not int or size < 1:
-                _check_positive_int(size, f"size of edge {u!r}-{v!r}")
+                _check_positive_int(size, f"size of edge {_echo(u)}-{_echo(v)}")
             adj_u[v] = size
             adj_v[u] = size
 
@@ -156,8 +176,8 @@ class TensorNetwork:
         if len(seen) != len(self.nodes):
             missing = next(v for v in self.nodes if v not in seen)
             raise ValidationError(
-                f"network is disconnected: node {missing!r} is not reachable "
-                f"from node {self.nodes[0]!r}"
+                f"network is disconnected: node {_echo(missing)} is not reachable "
+                f"from node {_echo(self.nodes[0])}"
             )
 
     def __len__(self) -> int:
@@ -179,7 +199,7 @@ class TensorNetwork:
         size = self._tensor_size.get(v)
         if size is None:
             if v not in self.open_mult:
-                raise ValidationError(f"unknown node id {v!r}")
+                raise ValidationError(f"unknown node id {_echo(v)}")
             size = self.open_mult[v]
             for edge in self.adjacency[v].values():
                 size *= edge
@@ -230,16 +250,16 @@ def parse_network(text: str) -> TensorNetwork:
         try:
             v = record["id"]
         except (KeyError, TypeError):
-            raise ValidationError(f"nodes[{i}] is malformed: {record!r:.200}") from None
+            raise ValidationError(f"nodes[{i}] is malformed: {_echo(record)}") from None
         if type(v) not in _ID_TYPES:
             _check_node_id(v)
         if v in nodes:
-            raise ValidationError(f"duplicate node id {v!r}")
+            raise ValidationError(f"duplicate node id {_echo(v)}")
         nodes[v] = record.get("open", 1)
     edges: list[tuple] = []
     for i, record in enumerate(obj["edges"]):
         try:
             edges.append((record["u"], record["v"], record["size"]))
         except (KeyError, TypeError):
-            raise ValidationError(f"edges[{i}] is malformed: {record!r:.200}") from None
+            raise ValidationError(f"edges[{i}] is malformed: {_echo(record)}") from None
     return TensorNetwork(nodes, edges)

@@ -14,9 +14,10 @@ File format::
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Union
 
-from .network import _ID_TYPES, NodeId, TensorNetwork, ValidationError
+from .network import _ID_TYPES, NodeId, _echo, TensorNetwork, ValidationError
 
 TreeNode = Union[NodeId, tuple]
 
@@ -58,10 +59,32 @@ class TreePlan(NamedTuple):
     __eq__, __ne__, __hash__ = _plan_eq, _plan_ne, tuple.__hash__
 
     def to_json(self) -> str:
-        return json.dumps({"type": "tree", "root": self.root})
+        """``json.dumps({"type": "tree", "root": self.root})``, written
+        without recursion over pairs: json.dumps recurses once per tree
+        level. Anything else in the tree is written by json.dumps."""
+        parts = ['{"type": "tree", "root": ']
+        stack = [self.root]
+        while stack:
+            item = stack.pop()
+            if type(item) is tuple and len(item) == 2:
+                parts.append("[")
+                stack += (_CLOSE, item[1], _COMMA, item[0])
+            elif item is _COMMA:
+                parts.append(", ")
+            elif item is _CLOSE:
+                parts.append("]")
+            elif type(item) is str:
+                parts.append(encode_basestring_ascii(item))
+            else:
+                parts.append(json.dumps(item))
+        parts.append("}")
+        return "".join(parts)
 
 
 ContractionPlan = Union[LinearPlan, TreePlan]
+
+# stack markers for TreePlan.to_json: close a list, separate two items
+_CLOSE, _COMMA = object(), object()
 
 
 def tree_leaves(node: TreeNode) -> tuple[NodeId, ...]:
@@ -162,10 +185,10 @@ def validate_plan(net: TensorNetwork, plan: ContractionPlan) -> None:
     for v in seq:
         # exact types first: True == 1, and a list is unhashable
         if type(v) not in _ID_TYPES or v not in net.open_mult:
-            raise ValidationError(f"plan references unknown node id {v!r:.200}")
+            raise ValidationError(f"plan references unknown node id {_echo(v)}")
         if v in seen:
-            raise ValidationError(f"plan lists node {v!r} more than once")
+            raise ValidationError(f"plan lists node {_echo(v)} more than once")
         seen.add(v)
     if len(seen) != len(net.nodes):
         missing = next(v for v in net.nodes if v not in seen)
-        raise ValidationError(f"plan is missing node {missing!r}")
+        raise ValidationError(f"plan is missing node {_echo(missing)}")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .network import NodeId, TensorNetwork, ValidationError
+from .network import NodeId, TensorNetwork, ValidationError, _echo
 
 __all__ = ["PrecedenceGraph", "build_precedence_graph", "format_precedence"]
 
@@ -48,7 +48,7 @@ class PrecedenceGraph:
 
     def __init__(self, net: TensorNetwork, root: NodeId) -> None:
         if root not in net.open_mult:
-            raise ValidationError(f"unknown root node id {root!r}")
+            raise ValidationError(f"unknown root node id {_echo(root)}")
         if not net.is_tree:
             raise ValidationError(
                 "precedence graphs are defined for tree networks only; "

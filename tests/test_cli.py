@@ -418,6 +418,22 @@ def test_huge_malformed_record_gives_a_short_error(tmp_path, capsys):
     assert len(err.encode()) < 1024
 
 
+@pytest.mark.parametrize("text, start", [
+    (json.dumps({"nodes": [{"id": "x" * 200_000}, {"id": "x" * 200_000}], "edges": []}),
+     "error: duplicate node id 'xxx"),
+    ('{"nodes": [{"id": "a"}, {"id": "b"}], '
+     '"edges": [{"u": "a", "v": "b", "size": -1' + "0" * 5000 + '}]}',
+     "error: size of edge 'a'-'b' must be >= 1, got <negative integer of 5001 digits>"),
+], ids=["duplicate-id", "huge-edge-size"])
+def test_order_cuts_huge_ids_and_integers(tmp_path, capsys, text, start):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["order", "--algorithm", "iks", "--network", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(start)
+    assert len(err.encode()) < 1024
+
+
 def test_cost_cuts_huge_echoed_values(five_tensor_file, tmp_path, capsys):
     huge = list(range(200_000))
     bad_net, bad_plan = tmp_path / "bad_net.json", tmp_path / "bad_plan.json"

@@ -3,8 +3,15 @@ import random
 
 import pytest
 
-from tnorder import TensorNetwork, ValidationError, parse_network
+from tnorder import (
+    LinearPlan,
+    TensorNetwork,
+    ValidationError,
+    build_precedence_graph,
+    parse_network,
+)
 from tnorder.network import id_key
+from tnorder.plans import validate_plan
 from helpers import five_tensor_data, matrix_chain_data
 
 
@@ -277,6 +284,57 @@ def test_parse_network_cuts_a_huge_echoed_value(doc, start):
     message = str(exc.value)
     assert message.startswith(start)
     assert len(message) < 300
+
+
+BIG_ID = "x" * 200_000
+CUT_ID = repr(BIG_ID)[:200]
+HUGE = 10**5000  # past the 4,300 digits Python writes as text by default
+PAIR = {BIG_ID: 1, "b": 1}
+
+
+@pytest.mark.parametrize("build, snippet", [
+    (lambda: TensorNetwork([BIG_ID, BIG_ID], []), f"duplicate node id {CUT_ID}"),
+    (lambda: parse_network(json.dumps({"nodes": [{"id": BIG_ID}, {"id": BIG_ID}],
+                                       "edges": []})),
+     f"duplicate node id {CUT_ID}"),
+    (lambda: TensorNetwork([HUGE, HUGE], []),
+     "duplicate node id <integer of 5001 digits>"),
+    (lambda: TensorNetwork({BIG_ID: 0}, []), f"open_mult of node {CUT_ID} must be >= 1"),
+    (lambda: TensorNetwork({"a": -HUGE}, []),
+     "open_mult of node 'a' must be >= 1, got <negative integer of 5001 digits>"),
+    (lambda: TensorNetwork({"a": 1}, [("a", HUGE, 2)]),
+     "edge references unknown node id <integer of 5001 digits>"),
+    (lambda: TensorNetwork(PAIR, [(BIG_ID, BIG_ID, 2)]), f"self-loop at node {CUT_ID}"),
+    (lambda: TensorNetwork(PAIR, [(BIG_ID, "b", 2), ("b", BIG_ID, 2)]),
+     f"duplicate edge between 'b' and {CUT_ID}"),
+    (lambda: TensorNetwork(PAIR, [(BIG_ID, "b", 0)]), f"size of edge {CUT_ID}-'b'"),
+    (lambda: TensorNetwork({"a": 1, "b": 1}, [("a", "b", -HUGE)]),
+     "size of edge 'a'-'b' must be >= 1, got <negative integer of 5001 digits>"),
+    (lambda: TensorNetwork(PAIR, []), f"node 'b' is not reachable from node {CUT_ID}"),
+    (lambda: TensorNetwork({"a": 1, HUGE: 1}, []),
+     "node <integer of 5001 digits> is not reachable"),
+    (lambda: TensorNetwork({"a": 1}, []).tensor_size(BIG_ID), f"unknown node id {CUT_ID}"),
+    (lambda: build_precedence_graph(TensorNetwork({"a": 1}, []), BIG_ID),
+     f"unknown root node id {CUT_ID}"),
+    (lambda: validate_plan(TensorNetwork({"a": 1}, []), LinearPlan(("a", HUGE))),
+     "plan references unknown node id <integer of 5001 digits>"),
+    (lambda: validate_plan(TensorNetwork(PAIR, [(BIG_ID, "b", 2)]),
+                           LinearPlan((BIG_ID, BIG_ID))),
+     f"plan lists node {CUT_ID} more than once"),
+    (lambda: validate_plan(TensorNetwork(PAIR, [(BIG_ID, "b", 2)]), LinearPlan(("b",))),
+     f"plan is missing node {CUT_ID}"),
+], ids=["duplicate-id", "parse-duplicate-id", "duplicate-int-id", "open-mult",
+        "huge-open-mult", "unknown-int-endpoint", "self-loop", "duplicate-edge",
+        "edge-size", "huge-edge-size", "disconnected", "disconnected-int-id",
+        "tensor-size", "precedence-root", "plan-unknown-id", "plan-repeated-id",
+        "plan-missing-id"])
+def test_huge_ids_and_integers_are_echoed_short(build, snippet):
+    # ids cut to 200 characters, integers past 200 digits by digit count
+    with pytest.raises(ValidationError) as exc:
+        build()
+    message = str(exc.value)
+    assert snippet in message
+    assert len(message) < 1024
 
 
 def test_parse_network_checks_node_records_before_edge_records():

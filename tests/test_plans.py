@@ -24,6 +24,55 @@ def test_tree_plan_json_round_trip():
     assert isinstance(again, TreePlan)
 
 
+def _random_tree(rng, leaves):
+    # a random full binary tree over leaves, built without recursion
+    trees = list(leaves)
+    while len(trees) > 1:
+        k = rng.randrange(len(trees) - 1)
+        trees[k:k + 2] = [(trees[k], trees[k + 1])]
+    return trees[0]
+
+
+def test_tree_plan_json_matches_json_dumps():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        # large ints, escapes, non-ASCII and astral characters
+        pool = [rng.randint(-10**40, 10**40), f"T{n}", 'q"\\\n\t', "\u00e9\u4e2d", "\U0001f600"]
+        leaves = [f"{rng.choice(pool)}{i}" if rng.random() < 0.5 else rng.choice(pool)
+                  for i in range(n)]
+        root = _random_tree(rng, leaves)
+        assert TreePlan(root).to_json() == json.dumps({"type": "tree", "root": root})
+    # what parse_plan never builds is written as json.dumps writes it
+    for root in ((), ("a",), ("a", "b", "c"), (["a", ("b", 1)], 2.5), (None, True)):
+        assert TreePlan(root).to_json() == json.dumps({"type": "tree", "root": root})
+
+
+def test_deep_tree_plans_dump_and_round_trip():
+    ids = [f"T{i}" for i in range(5000)]
+    left_deep = ids[0]
+    for v in ids[1:]:
+        left_deep = (left_deep, v)
+    right_deep = ids[-1]
+    for v in reversed(ids[:-1]):
+        right_deep = (v, right_deep)
+    for root in (left_deep, right_deep):
+        plan = TreePlan(root)
+        text = plan.to_json()  # json.dumps would pass the recursion limit here
+        assert text.count("[") == 4999
+        # json.loads inside parse_plan recurses once per level, so at the
+        # default limit parse_plan rejects this text (see
+        # test_parse_plan_rejects_trees_nested_past_the_recursion_limit);
+        # the limit is raised here only to read it back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 6000)
+        try:
+            assert parse_plan(text) == plan
+            assert text == json.dumps({"type": "tree", "root": root})
+        finally:
+            sys.setrecursionlimit(limit)
+
+
 def test_parse_plan_rejects_unknown_type():
     with pytest.raises(ValidationError, match="type"):
         parse_plan('{"type": "bushy", "order": []}')
