@@ -168,7 +168,7 @@ def _absorb(
         fused += 1
     if fused:
         members = tuple(chain((v,), *[e[4] for e in merged[:fused]]))
-    else:
+    else:  # every leaf, among others
         members = (v,)
     merged[:fused] = [(size, Q, Cn + cost, key, members)]
     return merged
@@ -292,13 +292,11 @@ def _rootings(net: TensorNetwork, deadline: float | None) -> Iterator[Rooting]:
         costs = _prefix_costs(Fv, merged)
         yield v, costs[-1], (v,), merged, None
 
-        key = at = None
+        key, at = id_key(v), None
         for u in kids:
             _check_deadline(deadline)
             wu = w[u]
             if children[u]:
-                if key is None:
-                    key = id_key(v)
                 skip = {e[3] for e in incoming[u]}
                 rest = [e for e in merged if e[3] not in skip]
                 edge[v, u] = _absorb(v, key, Fv, wu, rest)

@@ -286,28 +286,6 @@ def mps_path_data(rng: random.Random, n: int, bond_lo=2, bond_hi=10,
     return nodes, edges
 
 
-def star_data(rng: random.Random, n: int, dim_lo=2, dim_hi=10, open_hi=3):
-    """A hub joined to n - 1 leaves, edges in shuffled order."""
-    nodes = {f"S{i}": rng.randint(1, open_hi) for i in range(n)}
-    edges = [("S0", f"S{i}", rng.randint(dim_lo, dim_hi)) for i in range(1, n)]
-    rng.shuffle(edges)
-    return nodes, edges
-
-
-def caterpillar_data(rng: random.Random, n: int, dim_lo=1, dim_hi=10, open_hi=3):
-    """A spine of n // 2 nodes, each further node a leaf on a random
-    spine node."""
-    spine = max(1, n // 2)
-    nodes = {f"C{i}": rng.randint(1, open_hi) for i in range(n)}
-    edges = [
-        (f"C{i - 1 if i < spine else rng.randrange(spine)}", f"C{i}",
-         rng.randint(dim_lo, dim_hi))
-        for i in range(1, n)
-    ]
-    rng.shuffle(edges)
-    return nodes, edges
-
-
 def binary_ttn_data(rng: random.Random, n: int, bond_lo=2, bond_hi=10,
                     phys_lo=2, phys_hi=4):
     """A balanced binary tree tensor network: node i hangs below
@@ -320,11 +298,24 @@ def binary_ttn_data(rng: random.Random, n: int, bond_lo=2, bond_hi=10,
     return nodes, edges
 
 
-def spider_data(rng: random.Random, n: int, leg=2, dim_lo=2, dim_hi=10, open_hi=1):
-    """A hub with legs of ``leg`` nodes each (the last one may be shorter)."""
-    nodes = {f"H{i}": rng.randint(1, open_hi) for i in range(n)}
-    edges = [
-        (f"H{0 if (i - 1) % leg == 0 else i - 1}", f"H{i}", rng.randint(dim_lo, dim_hi))
-        for i in range(1, n)
-    ]
+def shaped_tree(rng, shape, n, dim_lo=1, dim_hi=9, open_hi=3):
+    """Tree data of a given shape; dim_lo=1 allows size-1 edges and
+    open_hi > 1 open legs. A spider is a hub with legs of two nodes.
+    Edges come shuffled, so adjacency order is arbitrary."""
+    nodes = {f"T{i + 1}": rng.randint(1, open_hi) for i in range(n)}
+    spine = max(1, n // 2)
+    edges = []
+    for i in range(1, n):
+        if shape == "path":
+            p = i - 1
+        elif shape == "star":
+            p = 0
+        elif shape == "caterpillar":
+            p = i - 1 if i < spine else rng.randrange(spine)
+        elif shape == "spider":
+            p = 0 if i % 2 else i - 1
+        else:
+            p = rng.randrange(i)
+        edges.append((f"T{p + 1}", f"T{i + 1}", rng.randint(dim_lo, dim_hi)))
+    rng.shuffle(edges)
     return nodes, edges

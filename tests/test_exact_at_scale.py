@@ -29,14 +29,11 @@ from tnorder import (
 )
 from helpers import (
     binary_ttn_data,
-    caterpillar_data,
     min_linear_cost,
     mps_path_data,
     path_linear_optimum,
     random_connected_data,
-    random_tree_data,
-    spider_data,
-    star_data,
+    shaped_tree,
 )
 
 # ------------------------------------------------------------ path oracle
@@ -85,15 +82,7 @@ def test_iks_matches_the_path_oracle(family, n):
 
 LEDGER = Path(__file__).with_name("plan_ledger.json")
 
-TREE_FAMILIES = {
-    # open legs 1-5 and size-1 edges: ranks tie, chains barely fuse
-    "random": lambda rng, n: random_tree_data(rng, n, dim_lo=1, dim_hi=10, open_hi=5),
-    "path": mps_path_data,
-    "star": star_data,
-    "caterpillar": caterpillar_data,
-    "binary-ttn": binary_ttn_data,
-    "spider": spider_data,
-}
+TREE_FAMILIES = ("random", "path", "star", "caterpillar", "binary-ttn", "spider")
 TREE_SIZES = (64, 256, 512, 1024, 2048)
 LOOPY_SIZES = (32, 64, 128, 256)
 
@@ -102,13 +91,22 @@ def _seeds(n: int) -> tuple[int, ...]:
     return (1, 2) if n <= 256 else (1,)
 
 
+def _tree_data(family: str, rng: random.Random, n: int):
+    if family == "path":
+        return mps_path_data(rng, n)
+    if family == "binary-ttn":
+        return binary_ttn_data(rng, n)
+    # size-1 edges and open legs 1-5: ranks tie, chains barely fuse
+    return shaped_tree(rng, family, n, dim_hi=10, open_hi=5)
+
+
 def ledger_cases():
     """(key, algorithm, nodes, edges) for every ledger entry."""
-    for family, build in TREE_FAMILIES.items():
+    for family in TREE_FAMILIES:
         for n in TREE_SIZES:
             for seed in _seeds(n):
                 key = f"iks/{family}/{n}/{seed}"
-                yield key, "iks", *build(random.Random(key), n)
+                yield key, "iks", *_tree_data(family, random.Random(key), n)
     for n in LOOPY_SIZES:
         for seed in _seeds(n):
             key = f"mst-iks/loopy/{n}/{seed}"

@@ -26,6 +26,7 @@ from helpers import (
     min_linear_cost,
     random_precedence_order,
     random_tree_data,
+    shaped_tree,
     to_network,
 )
 
@@ -350,27 +351,6 @@ def test_iks_order_deadline_fires_while_chains_are_built(monkeypatch):
 
 
 # ------------------------------------------- shared subtree chains (memo)
-
-
-def shaped_tree(rng, shape, n, dim_lo=1, dim_hi=9, open_hi=3):
-    """Tree data of a given shape; dim_lo=1 allows size-1 edges and
-    open_hi > 1 open legs. Edges come shuffled, so adjacency order is
-    arbitrary."""
-    nodes = {f"T{i + 1}": rng.randint(1, open_hi) for i in range(n)}
-    spine = max(1, n // 2)
-    edges = []
-    for i in range(1, n):
-        if shape == "path":
-            p = i - 1
-        elif shape == "star":
-            p = 0
-        elif shape == "caterpillar":
-            p = i - 1 if i < spine else rng.randrange(spine)
-        else:
-            p = rng.randrange(i)
-        edges.append((f"T{p + 1}", f"T{i + 1}", rng.randint(dim_lo, dim_hi)))
-    rng.shuffle(edges)
-    return nodes, edges
 
 
 def per_root_minimum(net):
