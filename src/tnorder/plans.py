@@ -17,7 +17,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Union
 
-from .network import _ID_TYPES, NodeId, _echo, TensorNetwork, ValidationError
+from .network import _ID_TYPES, NodeId, TensorNetwork, ValidationError, _echo
 
 TreeNode = Union[NodeId, tuple]
 
@@ -53,6 +53,10 @@ class LinearPlan(NamedTuple):
         return json.dumps({"type": "linear", "order": list(self.order)})
 
 
+# stack markers for TreePlan.to_json: close a list, separate two items
+_CLOSE, _COMMA = object(), object()
+
+
 class TreePlan(NamedTuple):
     root: TreeNode
 
@@ -82,9 +86,6 @@ class TreePlan(NamedTuple):
 
 
 ContractionPlan = Union[LinearPlan, TreePlan]
-
-# stack markers for TreePlan.to_json: close a list, separate two items
-_CLOSE, _COMMA = object(), object()
 
 
 def tree_leaves(node: TreeNode) -> tuple[NodeId, ...]:
