@@ -48,29 +48,33 @@ def test_tree_plan_json_matches_json_dumps():
         assert TreePlan(root).to_json() == json.dumps({"type": "tree", "root": root})
 
 
-def test_deep_tree_plans_dump_and_round_trip():
-    ids = [f"T{i}" for i in range(5000)]
-    left_deep = ids[0]
+def _deep_trees(n):
+    """Left-deep and right-deep pair trees over T0..T{n-1}, with the
+    JSON text json.dumps would write for each, built without recursion."""
+    ids = [f"T{i}" for i in range(n)]
+    left, right = ids[0], ids[-1]
     for v in ids[1:]:
-        left_deep = (left_deep, v)
-    right_deep = ids[-1]
+        left = (left, v)
     for v in reversed(ids[:-1]):
-        right_deep = (v, right_deep)
-    for root in (left_deep, right_deep):
+        right = (v, right)
+    left_text = "[" * (n - 1) + '"T0"' + "".join(f', "{v}"]' for v in ids[1:])
+    right_text = "".join(f'["{v}", ' for v in ids[:-1]) + f'"{ids[-1]}"' + "]" * (n - 1)
+    return (left, left_text), (right, right_text)
+
+
+def test_deep_tree_plans_dump_without_recursion():
+    # 5,000 levels, far past the recursion limit json.dumps runs into
+    for root, text in _deep_trees(5000):
+        assert TreePlan(root).to_json() == '{"type": "tree", "root": ' + text + "}"
+
+
+def test_deep_tree_plans_round_trip_within_the_parser_limit():
+    # parse_plan reads through json.loads, which recurses once per level
+    # and rejects plans past about 1,000 levels (see
+    # test_parse_plan_rejects_trees_nested_past_the_recursion_limit)
+    for root, _text in _deep_trees(500):
         plan = TreePlan(root)
-        text = plan.to_json()  # json.dumps would pass the recursion limit here
-        assert text.count("[") == 4999
-        # json.loads inside parse_plan recurses once per level, so at the
-        # default limit parse_plan rejects this text (see
-        # test_parse_plan_rejects_trees_nested_past_the_recursion_limit);
-        # the limit is raised here only to read it back
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(limit + 6000)
-        try:
-            assert parse_plan(text) == plan
-            assert text == json.dumps({"type": "tree", "root": root})
-        finally:
-            sys.setrecursionlimit(limit)
+        assert parse_plan(plan.to_json()) == plan
 
 
 def test_parse_plan_rejects_unknown_type():
