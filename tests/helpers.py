@@ -1,8 +1,11 @@
-"""Shared test utilities: an independent brute-force cost oracle.
+"""Shared test utilities: an independent brute-force cost oracle, an
+O(n^2) optimum for path networks, and seeded network builders.
 
 The oracle models tensors as lists of labeled legs and contracts by
 merging leg lists, so it shares no code path with src/. Every frozen
-constant in the test suite was computed through it.
+constant in the test suite was computed through it. The path optimum
+(``path_linear_optimum``) is an interval DP that shares no code with
+src/ either.
 
 Network data passes around as ``(nodes, edges)`` where nodes maps id to
 open_mult and edges is a list of ``(u, v, size)``.
