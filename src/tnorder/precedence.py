@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .network import NodeId, TensorNetwork, ValidationError, _echo
+from .network import _ID_TYPES, NodeId, TensorNetwork, ValidationError, _echo
 
 __all__ = ["PrecedenceGraph", "build_precedence_graph", "format_precedence"]
 
@@ -47,7 +47,8 @@ class PrecedenceGraph:
     __slots__ = ("root", "parent", "children", "w", "F", "preorder")
 
     def __init__(self, net: TensorNetwork, root: NodeId) -> None:
-        if root not in net.open_mult:
+        # type first: True and 1.0 hash as 1, and [1] cannot be hashed
+        if type(root) not in _ID_TYPES or root not in net.open_mult:
             raise ValidationError(f"unknown root node id {_echo(root)}")
         if not net.is_tree:
             raise ValidationError(

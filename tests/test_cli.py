@@ -19,6 +19,7 @@ from tnorder import (
 )
 from tnorder.bench import BenchRecord
 from tnorder.cli import main
+from tnorder.oracles import LIN_DP_MAX_NODES
 from helpers import five_tensor_data, matrix_chain_data, to_network
 
 
@@ -194,6 +195,15 @@ def test_order_dp_general_size_bound_exit_code(tmp_path, capsys):
     code = main(["order", "--algorithm", "dp-general", "--network", str(net_file)])
     assert code == 3
     assert "17" in capsys.readouterr().err
+
+
+def test_order_lin_dp_size_bound_exit_code(tmp_path, capsys):
+    n = LIN_DP_MAX_NODES + 1
+    net_file = tmp_path / "big.json"
+    net_file.write_text(generate_random_tree_network(n, 0).to_json())
+    code = main(["order", "--algorithm", "lin-dp", "--network", str(net_file)])
+    assert code == 3
+    assert f"network has {n} nodes" in capsys.readouterr().err
 
 
 def test_order_trace_goes_to_stderr(five_tensor_file, tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Exact evidence for ``iks`` at sizes the subset DPs cannot reach.
 
-Two guards: the O(n^2) path oracle in ``helpers`` gives the optimum of
-paths with up to a thousand nodes, and ``plan_ledger.json`` pins the
-plan bytes (as sha256) and the exact cost of ``iks`` on six tree
-families up to 2048 nodes and of ``mst-iks`` on loopy networks. A
-change to the solvers that moves any plan byte or cost fails here.
+Three guards: ``dp_linear_optimal`` on a 19-node star (2^18 connected
+subsets, the most a tree of 19 nodes has), the O(n^2) path oracle in
+``helpers``, which gives the optimum of paths with up to a thousand
+nodes, and ``plan_ledger.json``, which pins the plan bytes (as sha256)
+and the exact cost of ``iks`` on six tree families up to 2048 nodes and
+of ``mst-iks`` on loopy networks. A change to the solvers that moves
+any plan byte or cost fails here.
 
 Regenerate the ledger, only for a change that means to move a plan and
 explains why, with ``PYTHONPATH=src:tests python tests/test_exact_at_scale.py``.
@@ -35,6 +37,19 @@ from helpers import (
     random_connected_data,
     shaped_tree,
 )
+
+# ------------------------------------------------------- subset DP, n = 19
+
+
+def test_iks_matches_the_subset_dp_on_a_19_node_star():
+    # size-1 edges and open legs: ranks tie; about 3 s of the DP
+    nodes, edges = shaped_tree(random.Random("star/19"), "star", 19, dim_hi=10, open_hi=5)
+    net = TensorNetwork(nodes, edges)
+    order, cost = iks_order(net)
+    dp_order, dp_cost = dp_linear_optimal(net)
+    assert cost == dp_cost
+    assert evaluate_linear(net, order) == evaluate_linear(net, dp_order) == (cost, True)
+
 
 # ------------------------------------------------------------ path oracle
 

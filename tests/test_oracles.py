@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from tnorder import (
     linearized_dp,
 )
 from tnorder import oracles
-from tnorder.oracles import DP_GENERAL_MAX_NODES, DP_LINEAR_MAX_NODES
+from tnorder.oracles import DP_GENERAL_MAX_NODES, DP_LINEAR_MAX_NODES, LIN_DP_MAX_NODES
 from tnorder.plans import tree_leaves
 from helpers import (
     five_tensor_data,
@@ -25,6 +26,7 @@ from helpers import (
     min_tree_cost,
     naive_tree,
     random_tree_data,
+    shaped_tree,
     to_network,
 )
 
@@ -219,6 +221,14 @@ def test_linearized_dp_never_above_linear():
         assert tree_leaves(tree) == tuple(order)
 
 
+def test_linearized_dp_size_bound():
+    net = big_path(LIN_DP_MAX_NODES)
+    assert linearized_dp(net, net.nodes)[1] > 0
+    net = big_path(LIN_DP_MAX_NODES + 1)
+    with pytest.raises(SizeBoundError, match=str(LIN_DP_MAX_NODES + 1)):
+        linearized_dp(net, net.nodes)
+
+
 def test_linearized_dp_validates_order(five_tensor_net):
     from tnorder import ValidationError
 
@@ -398,3 +408,85 @@ def test_dp_general_prices_few_partitions(monkeypatch):
     dp_general_optimal(net)
     partitions = (3**n - 2 ** (n + 1) + 1) // 2
     assert calls[0] <= partitions // 4
+
+
+# ------------------------------------------------- two-layer dp_linear
+
+
+def _ref_dp_linear(net):
+    """The all-layers subset DP: ``(cost, size, last)`` kept for every
+    connected subset until the end, each extension visited once per
+    adjacent member, the order rebuilt from the full table."""
+    nodes = net.nodes
+    n = len(nodes)
+    if n == 1:
+        return (nodes[0],), 0
+    pos = {v: i for i, v in enumerate(nodes)}
+    tsize = [net.tensor_size(v) for v in nodes]
+    adj = [[(pos[u], s) for u, s in net.adjacency[v].items()] for v in nodes]
+    best = {1 << i: (0, tsize[i], -1) for i in range(n)}
+    frontier = sorted(best)
+    for _ in range(n - 1):
+        grown = {}
+        for mask in frontier:
+            cost, size, _ = best[mask]
+            m = mask
+            while m:
+                i = (m & -m).bit_length() - 1
+                m &= m - 1
+                for j, _s in adj[i]:
+                    bit = 1 << j
+                    if mask & bit:
+                        continue
+                    shared = 1
+                    for k, s in adj[j]:
+                        if mask >> k & 1:
+                            shared *= s
+                    step = size * tsize[j] // shared
+                    cand = (cost + step, step // shared, j)
+                    old = grown.get(mask | bit)
+                    if old is None or cand[0] < old[0]:
+                        grown[mask | bit] = cand
+        best.update(grown)
+        frontier = sorted(grown)
+    mask = (1 << n) - 1
+    total = best[mask][0]
+    order_rev = []
+    while True:
+        _, _, last = best[mask]
+        if last == -1:
+            order_rev.append(nodes[mask.bit_length() - 1])
+            break
+        order_rev.append(nodes[last])
+        mask ^= 1 << last
+    return tuple(reversed(order_rev)), total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.sampled_from([2, 3, 10, 10**20]),
+    st.integers(0, 6),
+)
+def test_dp_linear_matches_the_all_layers_reference(seed, n, dim_hi, extra):
+    # trees (extra = 0) and loopy networks; dims {1, 2} tie often, so the
+    # first-cheapest-predecessor rule decides many orders
+    net = _tie_heavy_network(random.Random(seed), n, dim_hi, extra)
+    assert dp_linear_optimal(net) == _ref_dp_linear(net)
+
+
+def test_dp_linear_peak_memory_is_two_layers():
+    # a 13-node star has 2^12 + 12 connected subsets, at most C(12, 6)
+    # of them in one layer
+    net = to_network(*shaped_tree(random.Random(13), "star", 13))
+    results, peaks = [], []
+    for solve in (_ref_dp_linear, dp_linear_optimal):
+        tracemalloc.start()
+        try:
+            results.append(solve(net))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert results[0] == results[1]
+    assert 2 * peaks[1] <= peaks[0]

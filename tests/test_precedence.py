@@ -94,6 +94,14 @@ def test_unknown_root_rejected(five_tensor_net):
         build_precedence_graph(five_tensor_net, "T7")
 
 
+@pytest.mark.parametrize("root", [True, 1.0, [1]])
+def test_root_of_another_type_is_unknown(root):
+    # equal to node 1 (or unhashable), but not a node id
+    net = TensorNetwork({1: 2, "b": 3}, [(1, "b", 4)])
+    with pytest.raises(ValidationError, match="unknown root node id"):
+        build_precedence_graph(net, root)
+
+
 def test_non_tree_rejected():
     cyc = TensorNetwork("abc", [("a", "b", 2), ("b", "c", 2), ("a", "c", 2)])
     with pytest.raises(ValidationError, match="tree"):
