@@ -8,8 +8,9 @@ are ``master_seed + 1_000_000 * n + instance``, so any row can be
 regenerated in isolation.
 
 Sizes beyond a solver's hard bound (the linear DP stops at 30 nodes) are
-skipped entirely rather than recorded as fake timeouts; every emitted
-record reflects a real attempt.
+skipped entirely rather than recorded as fake timeouts, and so is an
+instance the solver refuses before any work (the linear DP's bound on
+connected subsets); every emitted record reflects a real attempt.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence, TextIO
 
 from .generate import generate_random_tree_network
 from .iks import iks_order
-from .network import TensorNetwork, ValidationError
+from .network import SizeBoundError, TensorNetwork, ValidationError
 from .oracles import DP_LINEAR_MAX_NODES, dp_linear_optimal
 
 __all__ = [
@@ -138,9 +139,12 @@ def run_benchmark(
             for alg in algorithms:
                 bound = BENCH_ALGORITHMS[alg][1]
                 if bound is None or n <= bound:
-                    records.append(
-                        _run_single(alg, n, inst, seed, timeout_ms, dim_lo, dim_hi)
-                    )
+                    try:
+                        records.append(
+                            _run_single(alg, n, inst, seed, timeout_ms, dim_lo, dim_hi)
+                        )
+                    except SizeBoundError:
+                        continue
     records.sort(key=lambda r: (r.n, r.instance, r.algorithm))
     return records
 

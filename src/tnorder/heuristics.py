@@ -30,11 +30,12 @@ def max_spanning_tree(net: TensorNetwork) -> TensorNetwork:
     if net.is_tree:
         return net
 
-    def canonical(u: NodeId, v: NodeId) -> tuple:
+    edges = net.edges
+    rank_keys = []
+    for u, v, size in edges:
         ku, kv = id_key(u), id_key(v)
-        return (ku, kv) if ku <= kv else (kv, ku)
-
-    ranked = sorted(net.edges, key=lambda e: (-e[2], canonical(e[0], e[1])))
+        rank_keys.append((-size, (ku, kv) if ku <= kv else (kv, ku)))
+    ranked = sorted(range(len(edges)), key=rank_keys.__getitem__)
 
     parent: dict[NodeId, NodeId] = {v: v for v in net.nodes}
 
@@ -44,19 +45,22 @@ def max_spanning_tree(net: TensorNetwork) -> TensorNetwork:
             v = parent[v]
         return v
 
-    kept: set[tuple] = set()
-    for u, v, _size in ranked:
+    kept = [False] * len(edges)
+    left = len(net.nodes) - 1
+    for i in ranked:
+        u, v, _size = edges[i]
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-            kept.add(canonical(u, v))
-            if len(kept) == len(net.nodes) - 1:
+            kept[i] = True
+            left -= 1
+            if not left:
                 break
 
     open_mult = dict(net.open_mult)
     tree_edges = []
-    for u, v, size in net.edges:
-        if canonical(u, v) in kept:
+    for (u, v, size), keep in zip(edges, kept):
+        if keep:
             tree_edges.append((u, v, size))
         else:
             open_mult[u] *= size

@@ -26,18 +26,30 @@ A compound formed by a subtree root absorbing entries is kept over
 Q = w^2 of that root, with P the exact size of its tensor (see
 ``_absorb``), so its integers do not grow with its member count.
 
-Inside the solver an entry is a plain tuple ``(P, Q, Cn, lead_key,
-members)``, where ``lead_key`` is ``id_key`` of its leading member,
-computed once per node. Chains are sorted by (rank, lead_key): entries
-being merged cover disjoint nodes, so their leading ids differ and a
-rank tie always resolves the same way. The public ``SequenceEntry``
-(members, P, Q, Cn) is what ``linearized_chain`` returns.
+Inside the solver an entry is a plain tuple ``(P, Q, Cn, lead_key, node,
+absorbed)``. ``node`` is its leading member, the subtree root that formed
+it, and ``lead_key`` is ``id_key(node)``, computed once per node.
+``absorbed`` is the tuple of entries the compound fused, in order, each
+kept as its ``(node, absorbed)`` pair, and is empty for a single node: a
+fused entry's numbers are never read again, and on a long path they
+would add up to integers as long as the path for every compound. An
+entry holds no member list: its members are ``node`` followed by the
+members of each absorbed entry, and only the winning order is expanded
+that way, once, with an explicit stack. Chains are sorted by (rank,
+lead_key): entries being merged cover disjoint nodes, so their leading
+ids differ and a rank tie always resolves the same way. The public
+``SequenceEntry`` (members, P, Q, Cn) is what ``linearized_chain``
+returns.
 
 The chain of the subtree at v seen from its neighbour p depends only on
-the directed edge (v, p), so ``iks_order`` linearizes each directed edge
-at most once, 2(n - 1) in all, and every rooting reuses them. It shares
-its rooting, upward pass and pricing (exact prefix costs) with the
-per-root ``linearize_root``.
+the directed edge (v, p). ``iks_order`` roots the tree once and builds
+every subtree chain bottom-up (``_upward_chains``), keeping at each
+internal node the merge of its children's chains. It then walks the
+tree top-down: the chain rooted at an internal node is a two-run merge
+of that kept merge and the chain from above, and each child's chain from
+above is that node absorbing the merge without the child's entries. So
+each directed edge is linearized at most once, 2(n - 1) in all. A leaf
+rooting is priced from its parent's rooting, without a chain of its own.
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ from __future__ import annotations
 import time
 from functools import cmp_to_key
 from itertools import chain
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .network import NodeId, TensorNetwork, ValidationError, id_key
 from .precedence import PrecedenceGraph, build_precedence_graph
@@ -102,14 +114,14 @@ def rank_leq(U: SequenceEntry, V: SequenceEntry) -> bool:
     return (U.P - U.Q) * V.Cn <= (V.P - V.Q) * U.Cn
 
 
-# (P, Q, Cn, lead_key, members): the solver's own entries, see the module
-# docstring
-Entry = tuple[int, int, int, tuple[int, int, str], tuple[NodeId, ...]]
+# (P, Q, Cn, lead_key, node, absorbed): the solver's own entries, see the
+# module docstring; ``absorbed`` holds (node, absorbed) pairs
+Entry = tuple[int, int, int, tuple[int, int, str], NodeId, tuple]
 
 
 def _merge_cmp(a: Entry, b: Entry) -> int:
-    Pa, Qa, Cna, ka, _ = a
-    Pb, Qb, Cnb, kb, _ = b
+    Pa, Qa, Cna, ka, _, _ = a
+    Pb, Qb, Cnb, kb, _, _ = b
     lhs = (Pa - Qa) * Cnb
     rhs = (Pb - Qb) * Cna
     if lhs != rhs:
@@ -134,6 +146,36 @@ def merge_children(linearized: list[list[Entry]]) -> list[Entry]:
     return sorted(chain.from_iterable(linearized), key=_merge_key)
 
 
+def _merge_two(a: list[Entry], b: list[Entry]) -> list[Entry]:
+    """``merge_children([a, b])`` by one pass over both runs; may return
+    ``a`` or ``b`` itself when the other is empty."""
+    if not a or not b:
+        return a or b
+    out: list[Entry] = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    x, y = a[0], b[0]
+    while True:
+        Px, Qx, Cx, kx, _, _ = x
+        Py, Qy, Cy, ky, _, _ = y
+        lhs = (Px - Qx) * Cy
+        rhs = (Py - Qy) * Cx
+        if lhs < rhs or (lhs == rhs and kx < ky):
+            out.append(x)
+            i += 1
+            if i == na:
+                out += b[j:]
+                return out
+            x = a[i]
+        else:
+            out.append(y)
+            j += 1
+            if j == nb:
+                out += a[i:]
+                return out
+            y = b[j]
+
+
 def _absorb(
     v: NodeId, key: tuple[int, int, str], F: int, w: int, merged: list[Entry]
 ) -> list[Entry]:
@@ -153,25 +195,33 @@ def _absorb(
     which grows with every fuse while size and cost stay as large as
     the tensors and costs themselves.
 
-    ``merged`` must be a list no one else holds: its fused head is
-    replaced by the root entry in place, and it is returned.
+    Returns a new list; ``merged`` is left as it was.
     """
     Q, Cn = w * w, F * w
     size, cost = F, 0
     fused = 0
-    for Pe, Qe, Cne, _, _ in merged:
+    for Pe, Qe, Cne, _, _, _ in merged:
         # not rank_leq(entry, root entry)
         if (Pe - Qe) * (Cn + cost) > (size - Q) * Cne:
             break
         cost += size * Cne // Qe
         size = size * Pe // Qe
         fused += 1
-    if fused:
-        members = tuple(chain((v,), *[e[4] for e in merged[:fused]]))
-    else:  # every leaf, among others
-        members = (v,)
-    merged[:fused] = [(size, Q, Cn + cost, key, members)]
-    return merged
+    # only the (node, absorbed) part of a fused entry is ever read again
+    absorbed = tuple([(e[4], e[5]) for e in merged[:fused]]) if fused else ()
+    return [(size, Q, Cn + cost, key, v, absorbed), *merged[fused:]]
+
+
+def _members(entries: list[Entry]) -> list[NodeId]:
+    """The nodes ``entries`` stand for, in order: each entry's node, then
+    the members of the entries it absorbed."""
+    out = []
+    stack = [(e[4], e[5]) for e in reversed(entries)]
+    while stack:
+        v, absorbed = stack.pop()
+        out.append(v)
+        stack += absorbed[::-1]
+    return out
 
 
 def _prefix_costs(size: int, entries: list[Entry]) -> list[int]:
@@ -186,34 +236,45 @@ def _prefix_costs(size: int, entries: list[Entry]) -> list[int]:
     """
     costs = [0]
     cost = 0
-    for P, Q, Cn, _, _ in entries:
+    for P, Q, Cn, _, _, _ in entries:
         cost += size * Cn // Q
         size = size * P // Q
         costs.append(cost)
     return costs
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeoutError("deadline exceeded while trying rootings")
-
-
 def _upward_chains(
     pg: PrecedenceGraph, deadline: float | None
-) -> dict[tuple[NodeId, NodeId], list[Entry]]:
-    """Chain of the subtree at each non-root v, at key (v, parent of v).
+) -> tuple[
+    dict[NodeId, list[Entry]],
+    dict[NodeId, list[Entry]],
+    dict[NodeId, tuple[int, int, str]],
+]:
+    """One bottom-up pass: ``(up, below, keys)``, each keyed by node.
 
-    Built bottom-up: child chains are merged by rank, then the subtree
-    root is fused with the chain head while its rank is >= the head's.
+    ``up[v]`` is the chain of the subtree at each non-root v: its merged
+    child chains, ``below[v]`` (kept for internal nodes only), with v
+    absorbing their head. A leaf's chain is its single entry. ``keys``
+    holds every node's ``id_key``. The optional ``deadline`` is checked
+    once per node.
     """
-    F, w, parent, children = pg.F, pg.w, pg.parent, pg.children
-    chains: dict[tuple[NodeId, NodeId], list[Entry]] = {}
+    F, w, children = pg.F, pg.w, pg.children
+    keys = {v: id_key(v) for v in pg.preorder}
+    up: dict[NodeId, list[Entry]] = {}
+    below: dict[NodeId, list[Entry]] = {}
     for v in reversed(pg.preorder[1:]):
-        _check_deadline(deadline)
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("deadline exceeded while building subtree chains")
         kids = children[v]
-        merged = merge_children([chains[u, v] for u in kids]) if kids else []
-        chains[v, parent[v]] = _absorb(v, id_key(v), F[v], w[v], merged)
-    return chains
+        Fv, wv = F[v], w[v]
+        if not kids:
+            up[v] = [(Fv, wv * wv, Fv * wv, keys[v], v, ())]
+            continue
+        # _absorb leaves its input as it is, so one child's chain is shared
+        merged = up[kids[0]] if len(kids) == 1 else merge_children([up[u] for u in kids])
+        below[v] = merged
+        up[v] = _absorb(v, keys[v], Fv, wv, merged)
+    return up, below, keys
 
 
 def linearized_chain(pg: PrecedenceGraph) -> list[SequenceEntry]:
@@ -222,11 +283,12 @@ def linearized_chain(pg: PrecedenceGraph) -> list[SequenceEntry]:
     Every subtree is reduced to a rank-sorted chain (see
     ``_upward_chains``), and the root is absorbed last over w = 1.
     """
-    root, chains = pg.root, _upward_chains(pg, None)
-    merged = merge_children([chains[u, root] for u in pg.children[root]])
+    root = pg.root
+    up, _, keys = _upward_chains(pg, None)
+    merged = merge_children([up[u] for u in pg.children[root]])
     return [
-        SequenceEntry(members, P, Q, Cn)
-        for P, Q, Cn, _, members in _absorb(root, id_key(root), pg.F[root], 1, merged)
+        SequenceEntry(tuple(_members([e])), *e[:3])
+        for e in _absorb(root, keys[root], pg.F[root], 1, merged)
     ]
 
 
@@ -254,67 +316,6 @@ def _order_and_cost(
     return (*head.members, *(v for e in rest for v in e.members)), cost
 
 
-# (root, cost, head, entries, skip), see _rootings
-Rooting = tuple[NodeId, int, tuple[NodeId, ...], list[Entry], int | None]
-
-
-def _rootings(net: TensorNetwork, deadline: float | None) -> Iterator[Rooting]:
-    """Cost of every rooting of a tree network, sharing subtree chains.
-
-    ``edge[v, p]`` holds the chain of the subtree at v seen from its
-    neighbour p. A first pass, ``_upward_chains`` from the first node,
-    fills the edges pointing at it. A second pass, top-down, has every
-    edge into v on hand when it reaches v, merges them all once and
-    derives each edge out of v by dropping one neighbour's entries from
-    that merge. Both passes are iterative.
-
-    Fusing never reorders members, so the order rooted at v is v followed
-    by v's merged chain expanded, and its cost is a sum over that chain's
-    entries. A leaf's only use of the edge into it is its own rooting, so
-    that edge is never linearized: the leaf's cost follows from the costs
-    of its parent's rooting around the leaf's entry.
-
-    Yields (root, cost, head, entries, skip): the order is ``head``
-    followed by the members of ``entries``, leaving out the entry at
-    position ``skip`` unless it is ``None``.
-    """
-    pg = build_precedence_graph(net, net.nodes[0])
-    F, w, children, adjacency = pg.F, pg.w, pg.children, net.adjacency
-    edge = _upward_chains(pg, deadline)
-    for v in pg.preorder:
-        kids = children[v]
-        if not kids and v != pg.root:
-            continue  # a leaf: rooted at its parent's step below
-        _check_deadline(deadline)
-        incoming = {u: edge.pop((u, v)) for u in adjacency[v]}
-        merged = merge_children(list(incoming.values()))
-        Fv = F[v]
-        costs = _prefix_costs(Fv, merged)
-        yield v, costs[-1], (v,), merged, None
-
-        key, at = id_key(v), None
-        for u in kids:
-            _check_deadline(deadline)
-            wu = w[u]
-            if children[u]:
-                skip = {e[3] for e in incoming[u]}
-                rest = [e for e in merged if e[3] not in skip]
-                edge[v, u] = _absorb(v, key, Fv, wu, rest)
-                continue
-            # Rooted at leaf u the order is u, v, then v's merged chain
-            # without u's entry, which sits at position k. Against v's
-            # rooting, contracting v costs F(u) * F(v) / w, the entries
-            # before position k cost t(u) = F(u) / w^2 times as much (u is
-            # already in the prefix) and those after it the same.
-            if at is None:
-                at = {e[4][0]: k for k, e in enumerate(merged)}
-            k = at[u]
-            Fu = F[u]
-            cost = Fu * Fv // wu + Fu * costs[k] // (wu * wu)
-            cost += costs[-1] - costs[k + 1]
-            yield u, cost, (u, v), merged, k
-
-
 def iks_order(
     net: TensorNetwork, *, deadline: float | None = None
 ) -> tuple[tuple[NodeId, ...], int]:
@@ -324,24 +325,73 @@ def iks_order(
     exact cost; equal-cost roots resolve to the smallest root id. The
     optional ``deadline`` (a ``time.monotonic()`` instant) raises
     ``TimeoutError`` once passed; it is checked once per node while
-    subtree chains are built and once per rooting.
+    subtree chains are built, and once per internal node and per chain
+    from above while rootings are priced.
+
+    The order rooted at an internal v is v followed by its merged chain
+    expanded, and its cost is a sum over that chain's entries. Rooted at
+    a leaf u of v, it is u, v, then v's merged chain without u's entry.
     """
     if not net.is_tree:
         raise ValidationError(
             "optimal linear ordering requires a tree network; "
             "use order_arbitrary for general networks"
         )
-    best = None
-    for rooting in _rootings(net, deadline):
-        # the root's id key is needed only on a tie in cost
-        if (
-            best is None
-            or rooting[1] < best[1]
-            or (rooting[1] == best[1] and id_key(rooting[0]) < id_key(best[0]))
-        ):
-            best = rooting
+    pg = build_precedence_graph(net, net.nodes[0])
+    F, w, children, root = pg.F, pg.w, pg.children, pg.root
+    up, below, keys = _upward_chains(pg, deadline)
+    below[root] = merge_children([up[u] for u in children[root]])
+    # the chain from above of each node still to be rooted: the rest of
+    # the tree seen from it, empty at the root; leaves never get one
+    down: dict[NodeId, list[Entry]] = {root: []}
+    # the cheapest rooting so far: cost, root key, then the order as
+    # (head, entries, position in entries to leave out or None)
+    best_cost = best_key = best = None
+    for v in pg.preorder:
+        above = down.pop(v, None)
+        if above is None:
+            continue  # a leaf: rooted at its parent's step below
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("deadline exceeded while trying rootings")
+        kids = children[v]
+        merged = _merge_two(below.pop(v), above)
+        Fv, key = F[v], keys[v]
+        costs = _prefix_costs(Fv, merged)
+        total = costs[-1]
+        if best is None or total < best_cost or (total == best_cost and key < best_key):
+            best_cost, best_key, best = total, key, ((v,), merged, None)
+
+        at = None
+        for u in kids:
+            wu = w[u]
+            if children[u]:
+                if deadline is not None and time.monotonic() > deadline:
+                    raise TimeoutError("deadline exceeded while trying rootings")
+                # dropped once read, so a long path's chains are freed as
+                # the walk goes down it
+                chain_u = up.pop(u)
+                if len(kids) == 1:
+                    rest = above
+                else:
+                    skip = {e[3] for e in chain_u}
+                    rest = [e for e in merged if e[3] not in skip]
+                down[u] = _absorb(v, key, Fv, wu, rest)
+                continue
+            # Rooted at leaf u the order is u, v, then v's merged chain
+            # without u's entry, which sits at position k. Against v's
+            # rooting, contracting v costs F(u) * F(v) / w, the entries
+            # before position k cost t(u) = F(u) / w^2 times as much (u is
+            # already in the prefix) and those after it the same.
+            if at is None:
+                at = {e[4]: k for k, e in enumerate(merged)}
+            k = at[u]
+            Fu = F[u]
+            cost = Fu * Fv // wu + Fu * costs[k] // (wu * wu)
+            cost += total - costs[k + 1]
+            if cost < best_cost or (cost == best_cost and keys[u] < best_key):
+                best_cost, best_key, best = cost, keys[u], ((u, v), merged, k)
     assert best is not None
-    _, cost, head, entries, skip = best
+    head, entries, skip = best
     if skip is not None:
         entries = entries[:skip] + entries[skip + 1 :]
-    return (*head, *(v for e in entries for v in e[4])), cost
+    return (*head, *_members(entries)), best_cost

@@ -78,6 +78,13 @@ def test_sizes_beyond_a_bound_are_skipped_not_faked():
     assert only_dp == []
 
 
+def test_instances_past_the_subset_bound_are_skipped():
+    # instance 0 of master seed 60 at n = 30 has 2,299,261 connected
+    # subsets, past the linear DP's bound: only iks runs it
+    records = run_benchmark([30], instances=1, master_seed=60)
+    assert [r.algorithm for r in records] == ["iks"]
+
+
 def test_argument_validation():
     with pytest.raises(ValidationError, match="unknown benchmark algorithm"):
         run_benchmark([5], 1, algorithms=["magic"])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -204,6 +205,20 @@ def test_order_lin_dp_size_bound_exit_code(tmp_path, capsys):
     code = main(["order", "--algorithm", "lin-dp", "--network", str(net_file)])
     assert code == 3
     assert f"network has {n} nodes" in capsys.readouterr().err
+
+
+def test_order_dp_linear_subset_bound_exit_code(tmp_path, capsys):
+    # 26 nodes pass the node bound, but a star has 2^25 + 25 connected
+    # subsets: refused before any work, where the DP would run for hours
+    net_file = tmp_path / "star.json"
+    net_file.write_text(TensorNetwork(
+        [f"S{i}" for i in range(26)], [("S0", f"S{i}", 2) for i in range(1, 26)]
+    ).to_json())
+    start = time.monotonic()
+    code = main(["order", "--algorithm", "dp-linear", "--network", str(net_file)])
+    assert code == 3
+    assert time.monotonic() - start < 10
+    assert f"at least {2**25 + 25} connected subsets" in capsys.readouterr().err
 
 
 def test_order_trace_goes_to_stderr(five_tensor_file, tmp_path, capsys):

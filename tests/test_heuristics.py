@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from tnorder import (
     TensorNetwork,
     dp_linear_optimal,
@@ -9,6 +11,7 @@ from tnorder import (
     order_arbitrary,
     LinearPlan,
 )
+from tnorder.network import id_key
 from tnorder.plans import validate_plan
 from helpers import random_connected_data, to_network
 
@@ -62,6 +65,70 @@ def test_mst_preserves_edge_file_order():
     # kept edges appear in the same relative order as in the input
     order = [e[:2] for e in net.edges]
     assert kept == [p for p in order if p in kept]
+
+
+def _ref_max_spanning_tree(net):
+    # the earlier form, which built each edge's canonical pair three times
+    # and marked kept edges by pair; max_spanning_tree must match it
+    if net.is_tree:
+        return net
+
+    def canonical(u, v):
+        ku, kv = id_key(u), id_key(v)
+        return (ku, kv) if ku <= kv else (kv, ku)
+
+    ranked = sorted(net.edges, key=lambda e: (-e[2], canonical(e[0], e[1])))
+    parent = {v: v for v in net.nodes}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    kept = set()
+    for u, v, _size in ranked:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            kept.add(canonical(u, v))
+            if len(kept) == len(net.nodes) - 1:
+                break
+    open_mult = dict(net.open_mult)
+    tree_edges = []
+    for u, v, size in net.edges:
+        if canonical(u, v) in kept:
+            tree_edges.append((u, v, size))
+        else:
+            open_mult[u] *= size
+            open_mult[v] *= size
+    return TensorNetwork(open_mult, tree_edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 14), st.integers(0, 12))
+def test_mst_matches_the_pairwise_reference(seed, n, extra):
+    # loopy networks, sizes {1, 2, 3} so ranks tie, ids mixing ints and
+    # strings ("10" and 10 both present, shuffled edge order)
+    rng = random.Random(seed)
+    pool = [*range(n), *map(str, range(n))]
+    ids = rng.sample(pool, n)
+    edges, pairs = [], set()
+    for i in range(1, n):
+        j = rng.randrange(i)
+        edges.append((ids[i], ids[j], rng.randint(1, 3)))
+        pairs.add(frozenset((ids[i], ids[j])))
+    for _ in range(extra):
+        u, v = rng.sample(ids, 2)
+        if frozenset((u, v)) not in pairs:
+            pairs.add(frozenset((u, v)))
+            edges.append((u, v, rng.randint(1, 3)))
+    rng.shuffle(edges)
+    net = TensorNetwork({v: rng.randint(1, 3) for v in ids}, edges)
+    tree, ref = max_spanning_tree(net), _ref_max_spanning_tree(net)
+    assert tree.nodes == ref.nodes
+    assert tree.edges == ref.edges
+    assert tree.open_mult == ref.open_mult
 
 
 def test_order_arbitrary_triangle():

@@ -97,6 +97,56 @@ def test_dp_linear_size_bound():
         dp_linear_optimal(big_path(DP_LINEAR_MAX_NODES + 1))
 
 
+def star(n):
+    return TensorNetwork([f"S{i:02d}" for i in range(n)],
+                         [("S00", f"S{i:02d}", 2) for i in range(1, n)])
+
+
+def test_dp_linear_subset_bound():
+    # a 19-node star has the most connected subsets of any 19-node tree
+    # and stays within the bound; a 21-node star is refused before any work
+    assert oracles._tree_subset_count(star(19)) == 2**18 + 18
+    assert oracles.DP_LINEAR_MAX_SUBSETS >= 2**18 + 18
+    assert oracles._tree_subset_count(star(21)) > oracles.DP_LINEAR_MAX_SUBSETS
+    with pytest.raises(SizeBoundError, match=f"at least {2**20 + 20} connected subsets"):
+        dp_linear_optimal(star(21))
+    # loopy: counted on a spanning tree, a lower bound; a leaf-leaf edge
+    # does not lift a 22-node star under the bound
+    loopy = star(22)
+    loopy = TensorNetwork(loopy.nodes, [*loopy.edges, ("S01", "S02", 3)])
+    with pytest.raises(SizeBoundError, match="connected subsets"):
+        dp_linear_optimal(loopy)
+
+
+def test_tree_subset_count_is_exact_on_trees():
+    # a path's connected subsets are its intervals
+    assert oracles._tree_subset_count(big_path(30)) == 30 * 31 // 2
+    assert oracles._tree_subset_count(TensorNetwork(["x"], [])) == 1
+    # a triangle has 7; its breadth-first spanning tree, a 3-node path, 6
+    tri = TensorNetwork("abc", [("a", "b", 2), ("b", "c", 2), ("a", "c", 2)])
+    assert oracles._tree_subset_count(tri) == 6
+    rng = random.Random(41)
+    for _ in range(40):
+        nodes, edges = random_tree_data(rng, rng.randint(1, 9))
+        net = to_network(nodes, edges)
+        connected = sum(
+            1
+            for mask in range(1, 1 << len(net.nodes))
+            if _is_connected(net, [v for i, v in enumerate(net.nodes) if mask >> i & 1])
+        )
+        assert oracles._tree_subset_count(net) == connected
+
+
+def _is_connected(net, members):
+    inside, seen, stack = set(members), {members[0]}, [members[0]]
+    while stack:
+        for u in net.adjacency[stack.pop()]:
+            if u in inside and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen == inside
+
+
 def test_dp_linear_deadline(five_tensor_net):
     with pytest.raises(TimeoutError):
         dp_linear_optimal(five_tensor_net, deadline=time.monotonic() - 1.0)
