@@ -44,7 +44,6 @@ _EXPORTS = {
     # benchmark harness
     "run_benchmark": "bench",
     "write_csv": "bench",
-    "read_csv": "bench",
     "summarize": "bench",
     "render_chart": "bench",
 }

@@ -1,16 +1,17 @@
 """Benchmark harness: seeded instances, wall-clock budgets, CSV records.
 
-One record per attempted (algorithm, size, instance) run. Timing covers
-the ordering call only, never generation or parsing. Timeouts are data,
-not errors: the solvers poll a monotonic deadline and a run that exceeds
-its budget is recorded with ``timed_out`` set and no cost. Instance seeds
-are ``master_seed + 1_000_000 * n + instance``, so any row can be
-regenerated in isolation.
+One record per attempted (algorithm, size, instance) run. Each instance
+is generated once and every algorithm runs on that one network. Timing
+covers the ordering call only, never generation or parsing. Timeouts are
+data, not errors: the solvers poll a monotonic deadline and a run that
+exceeds its budget is recorded with ``timed_out`` set and no cost.
+Instance seeds are ``master_seed + 1_000_000 * n + instance``, so any row
+can be regenerated in isolation.
 
-Sizes beyond a solver's hard bound (the linear DP stops at 30 nodes) are
-skipped entirely rather than recorded as fake timeouts, and so is an
-instance the solver refuses before any work (the linear DP's bound on
-connected subsets); every emitted record reflects a real attempt.
+An instance a solver refuses before any work, with ``SizeBoundError``
+(the linear DP stops at 30 nodes and at 2^20 connected subsets), is
+skipped entirely rather than recorded as a fake timeout; every emitted
+record reflects a real attempt.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Iterable, Sequence, TextIO
 
 from .generate import generate_random_tree_network
 from .iks import iks_order
-from .network import SizeBoundError, TensorNetwork, ValidationError
-from .oracles import DP_LINEAR_MAX_NODES, dp_linear_optimal
+from .network import SizeBoundError, ValidationError
+from .oracles import dp_linear_optimal
 
 __all__ = [
     "BENCH_ALGORITHMS",
@@ -33,7 +34,6 @@ __all__ = [
     "SizeSummary",
     "format_summary",
     "instance_seed",
-    "read_csv",
     "render_chart",
     "run_benchmark",
     "summarize",
@@ -63,42 +63,15 @@ class SizeSummary:
     mean_wall_us: float | None  # over completed runs; None if none completed
 
 
-def _solve_iks(net: TensorNetwork, deadline: float | None) -> int:
-    return iks_order(net, deadline=deadline)[1]
-
-
-def _solve_dp_linear(net: TensorNetwork, deadline: float | None) -> int:
-    return dp_linear_optimal(net, deadline=deadline)[1]
-
-
-# name -> (solver returning the exact cost, node bound or None)
+# name -> solver taking (net, deadline=...) and returning (order, cost)
 BENCH_ALGORITHMS = {
-    "iks": (_solve_iks, None),
-    "dp-linear": (_solve_dp_linear, DP_LINEAR_MAX_NODES),
+    "iks": iks_order,
+    "dp-linear": dp_linear_optimal,
 }
 
 
 def instance_seed(master_seed: int, n: int, instance: int) -> int:
     return master_seed + 1_000_000 * n + instance
-
-
-def _run_single(
-    algorithm: str, n: int, instance: int, seed: int,
-    timeout_ms: int, dim_lo: int, dim_hi: int,
-) -> BenchRecord:
-    net = generate_random_tree_network(n, seed, dim_lo, dim_hi)
-    budget = timeout_ms / 1000.0
-    deadline = time.monotonic() + budget
-    start = time.perf_counter()
-    try:
-        cost: int | None = BENCH_ALGORITHMS[algorithm][0](net, deadline)
-    except TimeoutError:
-        cost = None
-    wall = time.perf_counter() - start
-    timed_out = cost is None or wall > budget
-    if timed_out:
-        cost = None
-    return BenchRecord(algorithm, n, instance, seed, cost, round(wall * 1e6), timed_out)
 
 
 def run_benchmark(
@@ -132,19 +105,29 @@ def run_benchmark(
     if timeout_ms < 0:
         raise ValidationError("timeout must be non-negative")
 
+    budget = timeout_ms / 1000.0
     records = []
     for n in sizes:
         for inst in range(instances):
             seed = instance_seed(master_seed, n, inst)
+            net = generate_random_tree_network(n, seed, dim_lo, dim_hi)
             for alg in algorithms:
-                bound = BENCH_ALGORITHMS[alg][1]
-                if bound is None or n <= bound:
-                    try:
-                        records.append(
-                            _run_single(alg, n, inst, seed, timeout_ms, dim_lo, dim_hi)
-                        )
-                    except SizeBoundError:
-                        continue
+                deadline = time.monotonic() + budget
+                start = time.perf_counter()
+                try:
+                    cost = BENCH_ALGORITHMS[alg](net, deadline=deadline)[1]
+                except SizeBoundError:
+                    continue
+                except TimeoutError:
+                    cost = None
+                wall = time.perf_counter() - start
+                timed_out = cost is None or wall > budget
+                records.append(
+                    BenchRecord(
+                        alg, n, inst, seed, None if timed_out else cost,
+                        round(wall * 1e6), timed_out,
+                    )
+                )
     records.sort(key=lambda r: (r.n, r.instance, r.algorithm))
     return records
 
@@ -165,36 +148,6 @@ def write_csv(records: Iterable[BenchRecord], stream: TextIO) -> None:
                 "true" if r.timed_out else "false",
             ]
         )
-
-
-def read_csv(stream: TextIO) -> list[BenchRecord]:
-    """Inverse of ``write_csv``; raises ``ValidationError`` on bad shape."""
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError("benchmark CSV is empty") from None
-    if tuple(header) != CSV_HEADER:
-        raise ValidationError(f"unexpected CSV header {header!r}")
-    records = []
-    for row in reader:
-        if len(row) != len(CSV_HEADER):
-            raise ValidationError(f"malformed CSV row {row!r}")
-        algorithm, n, instance, seed, cost, wall, timed_out = row
-        if timed_out not in ("true", "false"):
-            raise ValidationError(f"malformed timed_out flag {timed_out!r}")
-        records.append(
-            BenchRecord(
-                algorithm,
-                int(n),
-                int(instance),
-                int(seed),
-                None if cost == "" else int(cost),
-                int(wall),
-                timed_out == "true",
-            )
-        )
-    return records
 
 
 def summarize(records: Iterable[BenchRecord]) -> list[SizeSummary]:

@@ -9,9 +9,10 @@ share no edge the contraction is an outer product, priced with
 ``shared = 1``. Only ``evaluate_linear`` reports whether a plan is
 outer-product-free.
 
-All arithmetic is arbitrary-precision integer arithmetic. The divisions
-are exact by construction: every shared leg is a factor of both operand
-sizes.
+A single tensor's size is read from the network's ``sizes`` table; only
+compound sizes are computed here. All arithmetic is arbitrary-precision
+integer arithmetic. The divisions are exact by construction: every
+shared leg is a factor of both operand sizes.
 
 ``evaluate_tree`` checks the plan inside its pricing walk, and
 ``evaluate_linear`` with bulk checks of the ids' exact types and set. A
@@ -22,7 +23,6 @@ function's exact message.
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import prod
 from typing import NamedTuple, NoReturn, Sequence
 
 from .network import _ID_TYPES, NodeId, TensorNetwork
@@ -55,18 +55,18 @@ def evaluate_linear(
         order = order.order
     else:
         order = tuple(order)
-    open_mult, adjacency = net.open_mult, net.adjacency
+    tsize, adjacency = net.sizes, net.adjacency
     # exact types first: True == 1, and a list is unhashable
     if not (
-        len(order) == len(open_mult)
+        len(order) == len(tsize)
         and set(map(type, order)) <= _ID_TYPES
-        and open_mult.keys() == set(order)
+        and tsize.keys() == set(order)
     ):
         _invalid(net, LinearPlan(order))
 
     first = order[0]
     members = {first}
-    prefix_size = prod(adjacency[first].values(), start=open_mult[first])
+    prefix_size = tsize[first]
     total = 0
     op_free = True
     for v in order[1:]:
@@ -77,7 +77,7 @@ def evaluate_linear(
             if nbr in members:
                 shared *= edge
                 crossing = True
-        step = prefix_size * prod(adj.values(), start=open_mult[v]) // shared
+        step = prefix_size * tsize[v] // shared
         total += step
         prefix_size = step // shared
         op_free = op_free and crossing
@@ -101,7 +101,7 @@ def evaluate_tree(net: TensorNetwork, tree: TreePlan | TreeNode) -> int:
     at or before p. No member sets are built: O(n + E log depth).
     """
     root = tree.root if isinstance(tree, TreePlan) else tree
-    open_mult, adjacency = net.open_mult, net.adjacency
+    tsize, adjacency = net.sizes, net.adjacency
 
     total = 0
     position: dict[NodeId, int] = {}  # leaves seen so far, left to right
@@ -127,7 +127,7 @@ def evaluate_tree(net: TensorNetwork, tree: TreePlan | TreeNode) -> int:
                 if p is not None:
                     path_shared[bisect_right(path_lo, p) - 1] *= edge
             position[item] = len(position)
-            sizes.append(prod(adj.values(), start=open_mult[item]))
+            sizes.append(tsize[item])
         elif isinstance(item, tuple) and len(item) == 2:
             path_lo.append(len(position))
             path_shared.append(1)

@@ -6,7 +6,9 @@ share (parallel legs between the same pair must be pre-merged by taking the
 product of their dimensions). Legs not shared with any other tensor are
 folded into a per-node ``open_mult``, the product of their dimensions, so
 the size of a tensor is ``open_mult`` times the product of its incident
-edge sizes.
+edge sizes. The network computes every tensor's size once, into its
+``sizes`` table; the precedence graph, both pricers and the DPs read that
+table, and this module is the only one that writes the rule out.
 
 All dimensions are arbitrary-precision integers; nothing in this package
 ever rounds a size or a cost.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import json
 from itertools import repeat
+from math import prod
 from typing import Any, Iterable, Iterator, Mapping, Union
 
 NodeId = Union[int, str]
@@ -108,9 +111,13 @@ class TensorNetwork:
     id type, then a repeated id, then its ``open_mult``; an edge's shape,
     its endpoints, a self-loop, a repeated pair, then its size.
     Connectivity is checked last.
+
+    A valid network then fills ``sizes``, mapping each node id to its full
+    tensor size (``open_mult`` times its incident edge sizes). The table is
+    shared with every reader, so it is not to be changed.
     """
 
-    __slots__ = ("nodes", "edges", "open_mult", "adjacency", "_tensor_size")
+    __slots__ = ("nodes", "edges", "open_mult", "adjacency", "sizes")
 
     def __init__(
         self,
@@ -160,9 +167,11 @@ class TensorNetwork:
         self.edges: tuple[tuple[NodeId, NodeId, int], ...] = tuple(edge_list)
         self.open_mult: dict[NodeId, int] = open_mult
         self.adjacency: dict[NodeId, dict[NodeId, int]] = adjacency
-        self._tensor_size: dict[NodeId, int] = {}
 
         self._check_connected()
+        self.sizes: dict[NodeId, int] = {
+            v: prod(adj.values(), start=open_mult[v]) for v, adj in adjacency.items()
+        }
 
     def _check_connected(self) -> None:
         seen = {self.nodes[0]}
@@ -196,15 +205,10 @@ class TensorNetwork:
 
     def tensor_size(self, v: NodeId) -> int:
         """Full size of the single tensor ``v``: open legs times shared legs."""
-        size = self._tensor_size.get(v)
-        if size is None:
-            if v not in self.open_mult:
-                raise ValidationError(f"unknown node id {_echo(v)}")
-            size = self.open_mult[v]
-            for edge in self.adjacency[v].values():
-                size *= edge
-            self._tensor_size[v] = size
-        return size
+        # type first: True and 1.0 hash as 1, and [1] cannot be hashed
+        if type(v) not in _ID_TYPES or v not in self.sizes:
+            raise ValidationError(f"unknown node id {_echo(v)}")
+        return self.sizes[v]
 
     def to_json(self) -> str:
         """Canonical single-line JSON, stable across runs for equal networks."""

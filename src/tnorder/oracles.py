@@ -70,7 +70,7 @@ def _indexed(
     ``seq``: ``adj[i]`` holds (position, edge size) per neighbour of seq[i],
     in edge file order."""
     pos = {v: i for i, v in enumerate(seq)}
-    tsize = [net.tensor_size(v) for v in seq]
+    tsize = [net.sizes[v] for v in seq]
     adj = [[(pos[u], s) for u, s in net.adjacency[v].items()] for v in seq]
     return tsize, adj
 

@@ -21,14 +21,14 @@ c appear as exact ``Fraction``s only in ``format_precedence`` (the
 ``order --trace`` dump), which computes them on demand.
 
 A precedence graph is built by one iterative walk from the root, which
-records each node's parent, children, w and F as it reaches the node.
-``iks_order`` roots the tree once this way and derives every other
-rooting from it; ``order --trace`` builds one graph per root.
+records each node's parent, children and w as it reaches the node. F
+does not depend on the root: it is the network's size table
+(``TensorNetwork.sizes``), shared and not copied. ``iks_order`` roots
+the tree once this way and derives every other rooting from it;
+``order --trace`` builds one graph per root.
 """
 
 from __future__ import annotations
-
-from math import prod
 
 from .network import _ID_TYPES, NodeId, TensorNetwork, ValidationError, _echo
 
@@ -38,7 +38,8 @@ __all__ = ["PrecedenceGraph", "build_precedence_graph", "format_precedence"]
 class PrecedenceGraph:
     """Arborescence over a tree network, plus per-node rank ingredients.
 
-    Not to be changed after construction. ``preorder`` lists every node
+    Not to be changed after construction; ``F`` is the network's own
+    ``sizes`` table, read-only like the rest. ``preorder`` lists every node
     with each parent before its children, in a deterministic order
     derived from the network's edge order; ``children[v]`` is the list of
     v's children in adjacency order.
@@ -56,18 +57,16 @@ class PrecedenceGraph:
                 "extract a spanning tree first"
             )
 
-        open_mult, adjacency = net.open_mult, net.adjacency
+        adjacency = net.adjacency
         parent: dict[NodeId, NodeId] = {}
         children: dict[NodeId, list[NodeId]] = {}
         w: dict[NodeId, int] = {root: 1}
-        F: dict[NodeId, int] = {}
         preorder: list[NodeId] = []
         stack = [root]
         while stack:
             u = stack.pop()
             preorder.append(u)
             adj = adjacency[u]
-            F[u] = prod(adj.values(), start=open_mult[u])
             up = parent.get(u)
             kids = [v for v in adj if v != up]
             children[u] = kids
@@ -81,7 +80,7 @@ class PrecedenceGraph:
         self.children = children
         self.preorder = tuple(preorder)
         self.w = w
-        self.F = F
+        self.F = net.sizes
 
     def __len__(self) -> int:
         return len(self.preorder)
@@ -91,7 +90,7 @@ class PrecedenceGraph:
 
 
 def build_precedence_graph(net: TensorNetwork, root: NodeId) -> PrecedenceGraph:
-    """Root the tree network at ``root`` and compute all node quantities."""
+    """Root the tree network at ``root``: parents, children, w, and F."""
     return PrecedenceGraph(net, root)
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -16,9 +18,8 @@ from tnorder import (
     order_arbitrary,
     parse_network,
     parse_plan,
-    read_csv,
 )
-from tnorder.bench import BenchRecord
+from tnorder.bench import CSV_HEADER, BenchRecord
 from tnorder.cli import main
 from tnorder.oracles import LIN_DP_MAX_NODES
 from helpers import five_tensor_data, matrix_chain_data, to_network
@@ -555,9 +556,12 @@ def test_bench_csv_file_and_summary(tmp_path, capsys):
          "--chart", str(chart_file)]
     )
     assert code == 0
-    with open(csv_file) as fh:
-        records = read_csv(fh)
-    assert len(records) == 8
+    with open(csv_file, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == CSV_HEADER
+    assert [(r[0], r[1], r[2]) for r in rows] == [
+        (alg, n, i) for n in "56" for i in "01" for alg in ("dp-linear", "iks")
+    ]
     assert chart_file.read_text().startswith("<svg")
     summary = capsys.readouterr().out
     assert "algorithm" in summary and "dp-linear" in summary
@@ -588,6 +592,35 @@ def test_bench_output_file_matches_stdout_csv(tmp_path, capsys, monkeypatch):
         f"dp-linear,5,0,5000000,{10**40 + 1},123,false",
         "iks,5,0,5000000,,456,true",
     ]
+
+
+# the CSV of `bench --sizes 5:6,31:32 --instances 2 --algorithms dp-linear,iks`
+# with wall_time_us cut out; the linear DP refuses n = 31 and 32 before any work
+PINNED_BENCH_ROWS = """\
+algorithm,n,instance,seed,cost,timed_out
+dp-linear,5,0,5000000,294,false
+iks,5,0,5000000,294,false
+dp-linear,5,1,5000001,94,false
+iks,5,1,5000001,94,false
+dp-linear,6,0,6000000,385,false
+iks,6,0,6000000,385,false
+dp-linear,6,1,6000001,1105,false
+iks,6,1,6000001,1105,false
+iks,31,0,31000000,6708,false
+iks,31,1,31000001,35361,false
+iks,32,0,32000000,18560,false
+iks,32,1,32000001,7290,false
+"""
+
+
+def test_bench_csv_is_pinned(capsys):
+    code = main(["bench", "--sizes", "5:6,31:32", "--instances", "2",
+                 "--algorithms", "dp-linear,iks"])
+    assert code == 0
+    rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    wall = CSV_HEADER.index("wall_time_us")
+    got = "".join(",".join(r[:wall] + r[wall + 1:]) + "\n" for r in rows)
+    assert got == PINNED_BENCH_ROWS
 
 
 def test_bench_size_list_parsing(capsys):

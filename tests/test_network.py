@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tnorder import (
     LinearPlan,
@@ -12,7 +13,7 @@ from tnorder import (
 )
 from tnorder.network import id_key
 from tnorder.plans import validate_plan
-from helpers import five_tensor_data, matrix_chain_data
+from helpers import five_tensor_data, matrix_chain_data, naive_subset_size
 
 
 def test_nodes_keep_file_order(five_tensor_net):
@@ -43,6 +44,46 @@ def test_tensor_size_is_open_times_incident(matrix_net):
     assert matrix_net.tensor_size("A") == 600
     assert matrix_net.tensor_size("B") == 300
     assert matrix_net.tensor_size("C") == 500
+
+
+@pytest.mark.parametrize("alias", [True, 1.0, [1]])
+def test_tensor_size_of_another_type_is_unknown(alias):
+    # True == 1 and 1.0 == 1, yet neither is node 1; [1] is unhashable
+    net = TensorNetwork({1: 3, "b": 1}, [(1, "b", 2)])
+    with pytest.raises(ValidationError) as exc:
+        net.tensor_size(alias)
+    assert str(exc.value) == f"unknown node id {alias!r}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 8))
+def test_size_table_matches_the_leg_oracle(seed, n, extra):
+    # loopy networks with open legs, size-1 edges, dims up to 10^20 and
+    # mixed int/str ids; precedence graphs root their spanning tree
+    rng = random.Random(seed)
+    ids = [i if rng.random() < 0.5 else f"t{i}" for i in range(n)]
+    rng.shuffle(ids)
+
+    def dim():
+        return rng.choice((1, 2, rng.randint(1, 10**20)))
+
+    nodes = {v: dim() for v in ids}
+    tree = [(ids[i], ids[rng.randrange(i)], dim()) for i in range(1, n)]
+    joined = {frozenset(e[:2]) for e in tree}
+    edges = list(tree)
+    for _ in range(extra if n > 2 else 0):
+        u, v = rng.sample(ids, 2)
+        if frozenset((u, v)) not in joined:
+            joined.add(frozenset((u, v)))
+            edges.append((u, v, dim()))
+    net = TensorNetwork(nodes, edges)
+    for v in ids:
+        assert net.tensor_size(v) == naive_subset_size(nodes, edges, [v])
+    tree_net = TensorNetwork(nodes, tree)
+    for root in ids:
+        pg = build_precedence_graph(tree_net, root)
+        for v in ids:
+            assert pg.F[v] == naive_subset_size(nodes, tree, [v])
 
 
 def test_nodes_accept_plain_iterable():

@@ -23,7 +23,6 @@ PUBLIC_API = [
     "parse_network",
     "parse_plan",
     "rank_leq",
-    "read_csv",
     "render_chart",
     "run_benchmark",
     "single_entry",
