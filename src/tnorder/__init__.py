@@ -36,7 +36,6 @@ _EXPORTS = {
     "evaluate_tree": "cost",
     # rank calculus
     "build_precedence_graph": "precedence",
-    "format_precedence": "precedence",
     "SequenceEntry": "iks",
     "single_entry": "iks",
     "fuse": "iks",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import sys
 
 # each subcommand imports the modules it runs, so a call loads no others
@@ -18,7 +19,6 @@ from .network import (
     SizeBoundError,
     TensorNetwork,
     ValidationError,
-    id_key,
     parse_network,
 )
 
@@ -52,26 +52,27 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_trace(net: TensorNetwork, stream) -> None:
-    from fractions import Fraction
+def _emit_trace(net: TensorNetwork, stream) -> tuple[tuple, int]:
+    """``iks_order(net)``, writing its pass to ``stream`` as JSON lines:
+    one per rooting, then one per entry of the winning chain."""
+    from .iks import _expand, _members, _rootings
 
-    from .iks import _order_and_cost, linearized_chain
-    from .precedence import build_precedence_graph, format_precedence
+    def written(rootings):
+        for cost, key, head, entries, skip in rootings:
+            chain = len(entries) - (skip is not None)
+            fused = len(net.nodes) - len(head) - chain
+            line = {"root": head[0], "cost": cost, "chain": chain, "fused": fused}
+            print(json.dumps(line), file=stream)
+            yield cost, key, head, entries, skip
 
-    for root in sorted(net.nodes, key=id_key):
-        pg = build_precedence_graph(net, root)
-        chain = linearized_chain(pg)
-        order, cost = _order_and_cost(pg, chain)
-        print(f"== root {root}: cost {cost}", file=stream)
-        print(format_precedence(pg), file=stream)
-        print("chain:", file=stream)
-        for entry in chain:
-            names = ",".join(str(v) for v in entry.members)
-            T = Fraction(entry.P, entry.Q)
-            C = Fraction(entry.Cn, entry.Q)
-            rank = Fraction(entry.P - entry.Q, entry.Cn)
-            print(f"  ({names})  T={T} C={C} rank={rank}", file=stream)
-        print("order: " + " ".join(str(v) for v in order), file=stream)
+    best = min(written(_rootings(net, None)))
+    for k, entry in enumerate(best[3]):
+        if k != best[4]:  # a leaf rooting leaves its root's own entry out
+            P, Q, Cn, _, lead, _ = entry
+            members = len(_members([entry]))
+            line = {"lead": lead, "members": members, "P": P, "Q": Q, "Cn": Cn}
+            print(json.dumps(line), file=stream)
+    return _expand(best)
 
 
 def _cmd_order(args: argparse.Namespace) -> int:
@@ -86,9 +87,7 @@ def _cmd_order(args: argparse.Namespace) -> int:
     if algorithm == "iks":
         from .iks import iks_order
 
-        if args.trace:
-            _emit_trace(net, sys.stderr)
-        order, cost = iks_order(net)
+        order, cost = _emit_trace(net, sys.stderr) if args.trace else iks_order(net)
         plan = LinearPlan(order)
     elif algorithm == "dp-linear":
         from .oracles import dp_linear_optimal
@@ -227,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     order.add_argument(
         "--trace",
         action="store_true",
-        help="emit per-root rank tables and linearizations to stderr",
+        help="write each rooting's cost and the winning chain to stderr as JSON lines",
     )
     order.set_defaults(func=_cmd_order)
 

@@ -42,7 +42,7 @@ ids differ and a rank tie always resolves the same way. The public
 returns.
 
 The chain of the subtree at v seen from its neighbour p depends only on
-the directed edge (v, p). ``iks_order`` roots the tree once and builds
+the directed edge (v, p). The solver roots the tree once and builds
 every subtree chain bottom-up (``_upward_chains``), keeping at each
 internal node the merge of its children's chains. It then walks the
 tree top-down: the chain rooted at an internal node is a two-run merge
@@ -50,14 +50,14 @@ of that kept merge and the chain from above, and each child's chain from
 above is that node absorbing the merge without the child's entries. So
 each directed edge is linearized at most once, 2(n - 1) in all. A leaf
 rooting is priced from its parent's rooting, without a chain of its own.
+The walk is one generator, ``_rootings``: ``iks_order`` keeps its
+cheapest rooting, and ``order --trace`` writes each one as it goes.
 """
 
 from __future__ import annotations
 
 import time
-from functools import cmp_to_key
-from itertools import chain
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .network import NodeId, TensorNetwork, ValidationError, id_key
 from .precedence import PrecedenceGraph, build_precedence_graph
@@ -119,36 +119,9 @@ def rank_leq(U: SequenceEntry, V: SequenceEntry) -> bool:
 Entry = tuple[int, int, int, tuple[int, int, str], NodeId, tuple]
 
 
-def _merge_cmp(a: Entry, b: Entry) -> int:
-    Pa, Qa, Cna, ka, _, _ = a
-    Pb, Qb, Cnb, kb, _, _ = b
-    lhs = (Pa - Qa) * Cnb
-    rhs = (Pb - Qb) * Cna
-    if lhs != rhs:
-        return -1 if lhs < rhs else 1
-    # entries being merged cover disjoint nodes, so leading ids differ
-    return -1 if ka < kb else 1
-
-
-_merge_key = cmp_to_key(_merge_cmp)
-
-
-def merge_children(linearized: list[list[Entry]]) -> list[Entry]:
-    """Merge rank-sorted chains into one new rank-sorted chain.
-
-    Ties in rank break on the smallest leading node id (its key). Leading
-    ids are distinct, so the result is the one ordering of all entries by
-    (rank, leading id), whatever the order of the input chains.
-    """
-    if len(linearized) == 1:
-        return list(linearized[0])
-    # sorted runs: timsort merges them in O(N log k) comparisons
-    return sorted(chain.from_iterable(linearized), key=_merge_key)
-
-
 def _merge_two(a: list[Entry], b: list[Entry]) -> list[Entry]:
-    """``merge_children([a, b])`` by one pass over both runs; may return
-    ``a`` or ``b`` itself when the other is empty."""
+    """Merge two chains in one pass, as ``merge_children`` orders them;
+    may return ``a`` or ``b`` itself when the other is empty."""
     if not a or not b:
         return a or b
     out: list[Entry] = []
@@ -174,6 +147,23 @@ def _merge_two(a: list[Entry], b: list[Entry]) -> list[Entry]:
                 out += a[i:]
                 return out
             y = b[j]
+
+
+def merge_children(linearized: list[list[Entry]]) -> list[Entry]:
+    """Merge rank-sorted chains into one new rank-sorted chain.
+
+    Ties in rank break on the smallest leading node id (its key). Leading
+    ids are distinct, so the result is the one ordering of all entries by
+    (rank, leading id), whatever the order of the input chains.
+    """
+    runs = [run for run in linearized if run]
+    if len(runs) < 2:
+        return list(runs[0]) if runs else []
+    # merged in pairs, round by round: O(N log k) comparisons for k runs
+    while len(runs) > 1:
+        odd = runs[-1:] if len(runs) % 2 else []
+        runs = [_merge_two(a, b) for a, b in zip(runs[::2], runs[1::2])] + odd
+    return runs[0]
 
 
 def _absorb(
@@ -316,21 +306,14 @@ def _order_and_cost(
     return (*head.members, *(v for e in rest for v in e.members)), cost
 
 
-def iks_order(
-    net: TensorNetwork, *, deadline: float | None = None
-) -> tuple[tuple[NodeId, ...], int]:
-    """Globally optimal outer-product-free linear order for a tree network.
-
-    Prices every rooting and returns the cheapest order with its
-    exact cost; equal-cost roots resolve to the smallest root id. The
-    optional ``deadline`` (a ``time.monotonic()`` instant) raises
-    ``TimeoutError`` once passed; it is checked once per node while
-    subtree chains are built, and once per internal node and per chain
-    from above while rootings are priced.
-
-    The order rooted at an internal v is v followed by its merged chain
-    expanded, and its cost is a sum over that chain's entries. Rooted at
-    a leaf u of v, it is u, v, then v's merged chain without u's entry.
+def _rootings(net: TensorNetwork, deadline: float | None) -> Iterator[tuple]:
+    """Every rooting of a tree network, priced in one walk, as a record
+    ``(cost, root_key, head, entries, skip)``: the cheapest order from
+    that root is ``head`` (the root, or a leaf root and its neighbour)
+    followed by ``entries`` expanded without position ``skip`` (unless
+    None), and costs ``cost``. Root keys are unique, so records order by
+    (cost, root id) alone. ``entries`` may be shared between records and
+    is never changed. ``deadline`` is as for ``iks_order``.
     """
     if not net.is_tree:
         raise ValidationError(
@@ -344,9 +327,6 @@ def iks_order(
     # the chain from above of each node still to be rooted: the rest of
     # the tree seen from it, empty at the root; leaves never get one
     down: dict[NodeId, list[Entry]] = {root: []}
-    # the cheapest rooting so far: cost, root key, then the order as
-    # (head, entries, position in entries to leave out or None)
-    best_cost = best_key = best = None
     for v in pg.preorder:
         above = down.pop(v, None)
         if above is None:
@@ -358,8 +338,7 @@ def iks_order(
         Fv, key = F[v], keys[v]
         costs = _prefix_costs(Fv, merged)
         total = costs[-1]
-        if best is None or total < best_cost or (total == best_cost and key < best_key):
-            best_cost, best_key, best = total, key, ((v,), merged, None)
+        yield total, key, (v,), merged, None
 
         at = None
         for u in kids:
@@ -387,11 +366,27 @@ def iks_order(
             k = at[u]
             Fu = F[u]
             cost = Fu * Fv // wu + Fu * costs[k] // (wu * wu)
-            cost += total - costs[k + 1]
-            if cost < best_cost or (cost == best_cost and keys[u] < best_key):
-                best_cost, best_key, best = cost, keys[u], ((u, v), merged, k)
-    assert best is not None
-    head, entries, skip = best
+            yield cost + total - costs[k + 1], keys[u], (u, v), merged, k
+
+
+def _expand(rooting: tuple) -> tuple[tuple[NodeId, ...], int]:
+    """The order a ``_rootings`` record stands for, with its cost."""
+    cost, _, head, entries, skip = rooting
     if skip is not None:
         entries = entries[:skip] + entries[skip + 1 :]
-    return (*head, *_members(entries)), best_cost
+    return (*head, *_members(entries)), cost
+
+
+def iks_order(
+    net: TensorNetwork, *, deadline: float | None = None
+) -> tuple[tuple[NodeId, ...], int]:
+    """Globally optimal outer-product-free linear order for a tree network.
+
+    Prices every rooting and returns the cheapest order with its
+    exact cost; equal-cost roots resolve to the smallest root id. The
+    optional ``deadline`` (a ``time.monotonic()`` instant) raises
+    ``TimeoutError`` once passed; it is checked once per node while
+    subtree chains are built, and once per internal node and per chain
+    from above while rootings are priced.
+    """
+    return _expand(min(_rootings(net, deadline)))

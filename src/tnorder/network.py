@@ -59,9 +59,13 @@ def _echo(value: Any) -> str:
     """``value`` as an error message shows it: its repr cut to 200
     characters, so a huge value cannot flood stderr. An integer past 200
     digits is named by its digit count instead, since Python refuses to
-    write one past 4,300 digits as text."""
+    write one past 4,300 digits as text, and a value nested past the
+    recursion limit by its type."""
     if type(value) is not int or -_ECHO_INT_BOUND < value < _ECHO_INT_BOUND:
-        return f"{value!r:.200}"
+        try:
+            return f"{value!r:.200}"
+        except RecursionError:  # a plan read past json.loads' depth limit
+            return f"<{type(value).__name__} nested too deeply to show>"
     size = abs(value)
     # (bit_length - 1) * log10(2) never exceeds the digit count
     digits = int((size.bit_length() - 1) * 0.30102999566398120)

@@ -9,11 +9,19 @@ File format::
 
     {"type": "linear", "order": ["T4", "T3", ...]}
     {"type": "tree", "root": [["T4", "T3"], ["T2", ["T5", "T1"]]]}
+
+A tree plan may nest as deeply as it has leaves (a left-deep plan of n
+leaves nests n - 1 levels), and both directions work at any depth:
+``TreePlan.to_json`` writes without recursion, and ``parse_plan`` reads
+through ``json.loads`` unless that gives out on the depth, about 1,000
+levels, and then through ``_read_deep``, which builds the same objects
+with an explicit stack.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Union
 
@@ -105,7 +113,7 @@ def tree_leaves(node: TreeNode) -> tuple[NodeId, ...]:
         elif type(item) is int or type(item) is str:
             out.append(item)
         else:
-            raise ValidationError(f"tree leaf must be a node id, got {item!r:.200}")
+            raise ValidationError(f"tree leaf must be a node id, got {_echo(item)}")
     return tuple(out)
 
 
@@ -121,11 +129,11 @@ def _tree_from_obj(obj) -> TreeNode:
     while True:
         while type(item) is list:  # down the left spine
             if len(item) != 2:
-                raise ValidationError(f"tree node must be a pair, got {item!r:.200}")
+                raise ValidationError(f"tree node must be a pair, got {_echo(item)}")
             item, right = item
             stack.append(right)
         if type(item) is not int and type(item) is not str:
-            raise ValidationError(f"tree leaf must be a node id, got {item!r:.200}")
+            raise ValidationError(f"tree leaf must be a node id, got {_echo(item)}")
         done.append(item)
         while stack:
             item = stack.pop()
@@ -138,9 +146,76 @@ def _tree_from_obj(obj) -> TreeNode:
                 stack.append(_PAIR)
                 break
             else:
-                raise ValidationError(f"tree leaf must be a node id, got {item!r:.200}")
+                raise ValidationError(f"tree leaf must be a node id, got {_echo(item)}")
         else:
             return done[0]
+
+
+_SPACE = re.compile(r"[ \t\n\r]*")
+# json.loads' own reader of one value; it recurses only into arrays and
+# objects, which _read_deep opens itself, so it reads strings, numbers and
+# literals exactly as json.loads does
+_scan_once = json.JSONDecoder().scan_once
+# what _read_deep expects next: a value, a value or "]", a key, a key or
+# "}", a colon, a comma or a close
+_VALUE, _FIRST, _KEY, _FIRST_KEY, _COLON, _NEXT = range(6)
+
+
+def _read_deep(text: str):
+    """``json.loads(text)`` without recursion, for text nested too deeply
+    for it: the same objects, built with an explicit stack of the open
+    arrays and objects. Raises ``ValidationError`` on malformed text."""
+    stack: list = []  # open arrays and objects, innermost last
+    top = key = None  # key: the one read last, until its value comes
+    pos, expect = 0, _VALUE
+    try:
+        while True:
+            pos = _SPACE.match(text, pos).end()
+            char = text[pos : pos + 1]
+            if not char:
+                if expect == _NEXT and not stack:
+                    return top
+                break
+            if char == "]" or char == "}":  # after a value, or right after opening
+                if expect not in (_NEXT, _FIRST, _FIRST_KEY) or not stack:
+                    break
+                if (char == "]") != (type(stack.pop()) is list):
+                    break
+                pos, expect = pos + 1, _NEXT
+            elif expect == _NEXT:
+                if char != "," or not stack:
+                    break
+                pos, expect = pos + 1, _VALUE if type(stack[-1]) is list else _KEY
+            elif expect == _COLON:
+                if char != ":":
+                    break
+                pos, expect = pos + 1, _VALUE
+            elif expect == _KEY or expect == _FIRST_KEY:
+                if char != '"':
+                    break
+                key, pos = _scan_once(text, pos)
+                expect = _COLON
+            else:  # a value: open an array or object, or read a scalar
+                if char == "[" or char == "{":
+                    value, pos = ([] if char == "[" else {}), pos + 1
+                else:
+                    value, pos = _scan_once(text, pos)
+                if not stack:
+                    top = value
+                elif type(stack[-1]) is list:
+                    stack[-1].append(value)
+                else:
+                    stack[-1][key] = value
+                if type(value) is list or type(value) is dict:
+                    stack.append(value)
+                    expect = _FIRST if type(value) is list else _FIRST_KEY
+                else:
+                    expect = _NEXT
+    except StopIteration:  # no value where one must be
+        pass
+    except ValueError as exc:  # a bad string, or an int past the digit limit
+        raise ValidationError(f"plan is not valid JSON: {exc}") from None
+    raise ValidationError(f"plan is not valid JSON: unexpected text at char {pos}")
 
 
 def parse_plan(text: str) -> ContractionPlan:
@@ -150,7 +225,7 @@ def parse_plan(text: str) -> ContractionPlan:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"plan is not valid JSON: {exc}") from None
     except RecursionError:
-        raise ValidationError("plan is nested too deeply to parse") from None
+        obj = _read_deep(text)
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValidationError("plan file must be an object with a 'type' field")
     kind = obj["type"]
@@ -163,14 +238,14 @@ def parse_plan(text: str) -> ContractionPlan:
         if "root" not in obj:
             raise ValidationError("tree plan must have a 'root' field")
         return TreePlan(_tree_from_obj(obj["root"]))
-    raise ValidationError(f"unknown plan type {kind!r:.200}")
+    raise ValidationError(f"unknown plan type {_echo(kind)}")
 
 
 def _check_leaf(v) -> NodeId:
     if type(v) is int or type(v) is str:
         return v
     raise ValidationError(
-        f"plan node id must be an integer or string, got {v!r:.200}"
+        f"plan node id must be an integer or string, got {_echo(v)}"
     )
 
 
@@ -181,7 +256,7 @@ def validate_plan(net: TensorNetwork, plan: ContractionPlan) -> None:
     elif isinstance(plan, TreePlan):
         seq = tree_leaves(plan.root)
     else:
-        raise ValidationError(f"not a contraction plan: {plan!r:.200}")
+        raise ValidationError(f"not a contraction plan: {_echo(plan)}")
     seen: set[NodeId] = set()
     for v in seq:
         # exact types first: True == 1, and a list is unhashable

@@ -16,23 +16,22 @@ The rank ingredients are the rationals
 
 which the optimizer keeps as the unreduced integers (F, w^2, F * w) of
 its sequence entries (see ``iks``). t(v) < 1 is common and float
-comparisons could misorder near-ties, so nothing is ever rounded; t and
-c appear as exact ``Fraction``s only in ``format_precedence`` (the
-``order --trace`` dump), which computes them on demand.
+comparisons could misorder near-ties, so nothing is ever rounded or
+reduced: t and c exist only as those integers.
 
 A precedence graph is built by one iterative walk from the root, which
 records each node's parent, children and w as it reaches the node. F
 does not depend on the root: it is the network's size table
-(``TensorNetwork.sizes``), shared and not copied. ``iks_order`` roots
-the tree once this way and derives every other rooting from it;
-``order --trace`` builds one graph per root.
+(``TensorNetwork.sizes``), shared and not copied. The ``iks`` solver
+roots the tree once this way and derives every other rooting from it,
+for ``iks_order`` and ``order --trace`` alike.
 """
 
 from __future__ import annotations
 
 from .network import _ID_TYPES, NodeId, TensorNetwork, ValidationError, _echo
 
-__all__ = ["PrecedenceGraph", "build_precedence_graph", "format_precedence"]
+__all__ = ["PrecedenceGraph", "build_precedence_graph"]
 
 
 class PrecedenceGraph:
@@ -92,20 +91,3 @@ class PrecedenceGraph:
 def build_precedence_graph(net: TensorNetwork, root: NodeId) -> PrecedenceGraph:
     """Root the tree network at ``root``: parents, children, w, and F."""
     return PrecedenceGraph(net, root)
-
-
-def format_precedence(pg: PrecedenceGraph) -> str:
-    """Indented one-node-per-line debug dump of the arborescence."""
-    # imported here: only this dump needs it, and every CLI call would pay
-    from fractions import Fraction
-
-    depth = {pg.root: 0}
-    lines = []
-    for v in pg.preorder:
-        d = depth[v]
-        for kid in pg.children[v]:
-            depth[kid] = d + 1
-        w, F = pg.w[v], pg.F[v]
-        t, c = Fraction(F, w * w), Fraction(F, w)
-        lines.append(f"{'  ' * d}{v}  w={w} F={F} t={t} c={c}")
-    return "\n".join(lines)

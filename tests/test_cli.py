@@ -1,17 +1,22 @@
+import contextlib
 import csv
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tnorder import (
     LinearPlan,
     TensorNetwork,
     TreePlan,
+    build_precedence_graph,
     evaluate_linear,
     generate_random_tree_network,
     linearized_dp,
@@ -21,8 +26,15 @@ from tnorder import (
 )
 from tnorder.bench import CSV_HEADER, BenchRecord
 from tnorder.cli import main
+from tnorder.iks import linearize_root
 from tnorder.oracles import LIN_DP_MAX_NODES
-from helpers import five_tensor_data, matrix_chain_data, to_network
+from helpers import (
+    five_tensor_data,
+    matrix_chain_data,
+    random_tree_data,
+    shaped_tree,
+    to_network,
+)
 
 
 @pytest.fixture
@@ -231,9 +243,10 @@ def test_order_trace_goes_to_stderr(five_tensor_file, tmp_path, capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out == "45\n"
-    assert "== root T4: cost 45" in captured.err
-    assert "w=1 F=30 t=30 c=30" in captured.err
-    assert "rank=" in captured.err
+    lines = [json.loads(line) for line in captured.err.splitlines()]
+    assert {"root": "T4", "cost": 45, "chain": 3, "fused": 1} in lines
+    assert {"lead": "T1", "members": 1, "P": 1, "Q": 1, "Cn": 1} in lines
+    assert parse_plan(plan_file.read_text()).order[0] == "T3"
 
 
 def test_order_trace_note_for_other_algorithms(five_tensor_file, capsys):
@@ -243,53 +256,16 @@ def test_order_trace_note_for_other_algorithms(five_tensor_file, capsys):
 
 
 # `order --trace` stderr for the five-tensor fixture and for a tree with
-# open legs, whose chains keep several entries after absorbing
+# open legs, whose chains keep several entries: one line per rooting in
+# the order the solver walks them, then the winning chain after its head
 FIVE_TENSOR_TRACE = """\
-== root T1: cost 59
-T1  w=1 F=1 t=1 c=1
-  T2  w=1 F=12 t=12 c=12
-    T4  w=6 F=30 t=5/6 c=5
-      T3  w=5 F=5 t=1/5 c=1
-    T5  w=2 F=2 t=1/2 c=1
-chain:
-  (T1,T2,T5,T4,T3)  T=1 C=60 rank=0
-order: T1 T2 T5 T4 T3
-== root T2: cost 48
-T2  w=1 F=12 t=12 c=12
-  T4  w=6 F=30 t=5/6 c=5
-    T3  w=5 F=5 t=1/5 c=1
-  T5  w=2 F=2 t=1/2 c=1
-  T1  w=1 F=1 t=1 c=1
-chain:
-  (T2,T5,T4,T3,T1)  T=1 C=60 rank=0
-order: T2 T5 T4 T3 T1
-== root T3: cost 45
-T3  w=1 F=5 t=5 c=5
-  T4  w=5 F=30 t=6/5 c=6
-    T2  w=6 F=12 t=1/3 c=2
-      T5  w=2 F=2 t=1/2 c=1
-      T1  w=1 F=1 t=1 c=1
-chain:
-  (T3,T4,T2,T5,T1)  T=1 C=50 rank=0
-order: T3 T4 T2 T5 T1
-== root T4: cost 45
-T4  w=1 F=30 t=30 c=30
-  T3  w=5 F=5 t=1/5 c=1
-  T2  w=6 F=12 t=1/3 c=2
-    T5  w=2 F=2 t=1/2 c=1
-    T1  w=1 F=1 t=1 c=1
-chain:
-  (T4,T3,T2,T5,T1)  T=1 C=75 rank=0
-order: T4 T3 T2 T5 T1
-== root T5: cost 48
-T5  w=1 F=2 t=2 c=2
-  T2  w=2 F=12 t=3 c=6
-    T4  w=6 F=30 t=5/6 c=5
-      T3  w=5 F=5 t=1/5 c=1
-    T1  w=1 F=1 t=1 c=1
-chain:
-  (T5,T2,T4,T3,T1)  T=1 C=50 rank=0
-order: T5 T2 T4 T3 T1
+{"root": "T1", "cost": 59, "chain": 1, "fused": 3}
+{"root": "T2", "cost": 48, "chain": 3, "fused": 1}
+{"root": "T5", "cost": 48, "chain": 2, "fused": 1}
+{"root": "T4", "cost": 45, "chain": 3, "fused": 1}
+{"root": "T3", "cost": 45, "chain": 2, "fused": 1}
+{"lead": "T2", "members": 2, "P": 6, "Q": 36, "Cn": 84}
+{"lead": "T1", "members": 1, "P": 1, "Q": 1, "Cn": 1}
 """
 OPEN_LEGS_NETWORK = {
     "nodes": [{"id": "T1", "open": 50}, {"id": "T2", "open": 50},
@@ -298,64 +274,15 @@ OPEN_LEGS_NETWORK = {
               {"u": "T4", "v": "T2", "size": 4}, {"u": "T5", "v": "T4", "size": 4}],
 }
 OPEN_LEGS_TRACE = """\
-== root T1: cost 13620000
-T1  w=1 F=100 t=100 c=100
-  T2  w=2 F=800 t=200 c=400
-    T4  w=4 F=16 t=1 c=4
-      T5  w=4 F=200 t=25/2 c=50
-    T3  w=2 F=100 t=25 c=50
-chain:
-  (T1,T2,T4)  T=20000 C=120100 rank=19999/120100
-  (T5)  T=25/2 C=50 rank=23/100
-  (T3)  T=25 C=50 rank=12/25
-order: T1 T2 T4 T5 T3
-== root T2: cost 13043200
-T2  w=1 F=800 t=800 c=800
-  T4  w=4 F=16 t=1 c=4
-    T5  w=4 F=200 t=25/2 c=50
-  T3  w=2 F=100 t=25 c=50
-  T1  w=2 F=100 t=25 c=50
-chain:
-  (T2,T4)  T=800 C=4000 rank=799/4000
-  (T5)  T=25/2 C=50 rank=23/100
-  (T1)  T=25 C=50 rank=12/25
-  (T3)  T=25 C=50 rank=12/25
-order: T2 T4 T5 T1 T3
-== root T3: cost 13620000
-T3  w=1 F=100 t=100 c=100
-  T2  w=2 F=800 t=200 c=400
-    T4  w=4 F=16 t=1 c=4
-      T5  w=4 F=200 t=25/2 c=50
-    T1  w=2 F=100 t=25 c=50
-chain:
-  (T3,T2,T4)  T=20000 C=120100 rank=19999/120100
-  (T5)  T=25/2 C=50 rank=23/100
-  (T1)  T=25 C=50 rank=12/25
-order: T3 T2 T4 T5 T1
-== root T4: cost 13040800
-T4  w=1 F=16 t=16 c=16
-  T5  w=4 F=200 t=25/2 c=50
-  T2  w=4 F=800 t=50 c=200
-    T3  w=2 F=100 t=25 c=50
-    T1  w=2 F=100 t=25 c=50
-chain:
-  (T4,T5)  T=200 C=816 rank=199/816
-  (T2)  T=50 C=200 rank=49/200
-  (T1)  T=25 C=50 rank=12/25
-  (T3)  T=25 C=50 rank=12/25
-order: T4 T5 T2 T1 T3
-== root T5: cost 13040800
-T5  w=1 F=200 t=200 c=200
-  T4  w=4 F=16 t=1 c=4
-    T2  w=4 F=800 t=50 c=200
-      T3  w=2 F=100 t=25 c=50
-      T1  w=2 F=100 t=25 c=50
-chain:
-  (T5,T4)  T=200 C=1000 rank=199/1000
-  (T2)  T=50 C=200 rank=49/200
-  (T1)  T=25 C=50 rank=12/25
-  (T3)  T=25 C=50 rank=12/25
-order: T5 T4 T2 T1 T3
+{"root": "T1", "cost": 13620000, "chain": 3, "fused": 1}
+{"root": "T2", "cost": 13043200, "chain": 4, "fused": 0}
+{"root": "T3", "cost": 13620000, "chain": 3, "fused": 0}
+{"root": "T4", "cost": 13040800, "chain": 4, "fused": 0}
+{"root": "T5", "cost": 13040800, "chain": 3, "fused": 0}
+{"lead": "T5", "members": 1, "P": 200, "Q": 16, "Cn": 800}
+{"lead": "T2", "members": 1, "P": 800, "Q": 16, "Cn": 3200}
+{"lead": "T1", "members": 1, "P": 100, "Q": 4, "Cn": 200}
+{"lead": "T3", "members": 1, "P": 100, "Q": 4, "Cn": 200}
 """
 
 
@@ -387,10 +314,60 @@ def test_order_trace_linearizes_each_root_once(five_tensor_file, capsys, monkeyp
     assert main(["order", "--algorithm", "iks", "--network", five_tensor_file,
                  "--trace"]) == 0
     assert capsys.readouterr().err == FIVE_TENSOR_TRACE
-    # the trace roots at each node in turn; iks_order builds its own
-    # rooting at the first node once, through _upward_chains
-    roots = ["T1", "T2", "T3", "T4", "T5"]
-    assert calls == {"linearized_chain": roots, "_upward_chains": roots + ["T1"]}
+    # the trace and the plan come from one rooting walk, which builds its
+    # subtree chains once, rooted at the first node
+    assert calls == {"linearized_chain": [], "_upward_chains": ["T1"]}
+
+
+def _prufer_tree(seq, n):
+    """The labelled tree on 0..n-1 with Prufer sequence ``seq``."""
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = degree.index(1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(i for i in range(n) if degree[i] == 1))
+    return edges
+
+
+def _small_trees():
+    # the sorted Prufer sequences give every tree shape up to 7 nodes
+    # (all 11 at n = 7), some in several labellings; dims 1-3 and open
+    # legs make equal ranks and equal rooting costs common
+    rng = random.Random(16)
+    for n in range(2, 8):
+        for seq in itertools.combinations_with_replacement(range(n), n - 2):
+            nodes = {f"T{i}": rng.randint(1, 3) for i in range(n)}
+            edges = [(f"T{a}", f"T{b}", rng.randint(1, 3))
+                     for a, b in _prufer_tree(seq, n)]
+            yield nodes, edges
+    for k in range(60):
+        n = rng.randint(8, 40)
+        if k % 2:
+            yield random_tree_data(rng, n, dim_lo=1, dim_hi=6, open_hi=3)
+        else:
+            shape = ("star", "path", "caterpillar", "random")[k // 2 % 4]
+            yield shaped_tree(rng, shape, n, dim_lo=1, dim_hi=4)
+
+
+def test_order_trace_costs_match_each_rooting(tmp_path, capsys):
+    net_file = tmp_path / "net.json"
+    for nodes, edges in _small_trees():
+        net = to_network(nodes, edges)
+        net_file.write_text(net.to_json())
+        assert main(["order", "--algorithm", "iks", "--network", str(net_file),
+                     "-o", str(tmp_path / "plan.json"), "--trace"]) == 0
+        out, err = capsys.readouterr()
+        lines = [json.loads(line) for line in err.splitlines()]
+        traced = [(line["root"], line["cost"]) for line in lines if "root" in line]
+        assert sorted(root for root, _ in traced) == sorted(nodes)
+        for root, cost in traced:
+            assert cost == linearize_root(build_precedence_graph(net, root))[1]
+        assert out == f"{min(cost for _, cost in traced)}\n"
 
 
 def test_readme_quick_start(tmp_path, capsys):
@@ -486,15 +463,22 @@ def test_undecodable_files_are_validation_errors(
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_over_deep_tree_plan_is_a_validation_error(tmp_path, capsys):
+def test_malformed_deep_tree_plan_is_a_validation_error(tmp_path, capsys):
+    # 1,499 levels, past json.loads' depth limit: read by the deep reader,
+    # which prices it and rejects it cut short, without a traceback
     net_file, plan_file = tmp_path / "net.json", tmp_path / "plan.json"
     net_file.write_text(generate_random_tree_network(1500, 0).to_json())
-    plan_file.write_text(
-        '{"type": "tree", "root": ' + "[" * 1499 + '"T1"'
-        + "".join(f', "T{i}"]' for i in range(2, 1501)) + "}"
-    )
+    text = ('{"type": "tree", "root": ' + "[" * 1499 + '"T1"'
+            + "".join(f', "T{i}"]' for i in range(2, 1501)) + "}")
+    order = [f"T{i}" for i in range(1, 1501)]
+    plan_file.write_text(text)
+    assert main(["cost", "--network", str(net_file), "--plan", str(plan_file)]) == 0
+    out = capsys.readouterr().out
+    assert out == f"{evaluate_linear(parse_network(net_file.read_text()), order).cost}\n"
+    plan_file.write_text(text[:-2])
     assert main(["cost", "--network", str(net_file), "--plan", str(plan_file)]) == 2
-    assert "nested too deeply" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err and "Traceback" not in err
 
 
 def test_deeply_nested_network_file_is_a_validation_error(tmp_path, capsys):
@@ -503,6 +487,129 @@ def test_deeply_nested_network_file_is_a_validation_error(tmp_path, capsys):
     assert main(["order", "--algorithm", "iks", "--network", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "nested too deeply" in err and "Traceback" not in err
+
+
+def _acceptance_networks(n):
+    # a 5,000-node path with open legs and a 5,000-node star; the package
+    # generator only makes random trees
+    rng = random.Random(5000)
+    ids = [f"T{i}" for i in range(n)]
+    nodes = [{"id": v, "open": rng.randint(1, 3)} for v in ids]
+    path = [{"u": ids[i], "v": ids[i + 1], "size": rng.randint(2, 10)}
+            for i in range(n - 1)]
+    star = [{"u": ids[0], "v": v, "size": rng.randint(2, 10)} for v in ids[1:]]
+    return {"path": {"nodes": nodes, "edges": path},
+            "star": {"nodes": nodes, "edges": star}}
+
+
+@pytest.mark.parametrize("shape", ["path", "star"])
+def test_order_and_cost_at_5000_nodes(shape, tmp_path, capsys):
+    net_file = tmp_path / "net.json"
+    linear, deep = tmp_path / "linear.json", tmp_path / "deep.json"
+    net_file.write_text(json.dumps(_acceptance_networks(5000)[shape]))
+    assert main(["order", "--algorithm", "iks", "--network", str(net_file),
+                 "-o", str(linear)]) == 0
+    cost = capsys.readouterr().out
+    order = parse_plan(linear.read_text()).order
+    left_deep = order[0]
+    for v in order[1:]:
+        left_deep = (left_deep, v)
+    deep.write_text(TreePlan(left_deep).to_json())
+    for plan in (linear, deep):
+        assert main(["cost", "--network", str(net_file), "--plan", str(plan)]) == 0
+        assert capsys.readouterr() == (cost, "")
+
+
+# ------------------------------------------------------------------ fuzz
+
+FUZZ_NETWORKS = [
+    to_network(*five_tensor_data()).to_json(),
+    json.dumps({"nodes": [{"id": "a"}, {"id": "b", "open": 3}, {"id": "c"}],
+                "edges": [{"u": "a", "v": "b", "size": 2}, {"u": "b", "v": "c", "size": 3},
+                          {"u": "a", "v": "c", "size": 4}]}),
+    generate_random_tree_network(7, 3).to_json(),
+]
+FUZZ_PLANS = [
+    '{"type": "linear", "order": ["T4", "T3", "T2", "T5", "T1"]}',
+    '{"type": "tree", "root": [["T4", "T3"], ["T2", ["T5", "T1"]]]}',
+]
+FUZZ_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**40), 10**40)
+    | st.floats() | st.text(max_size=4) | st.sampled_from(["T1", "a", 0, 1, 2]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "open", "u", "v", "size", "type",
+                                       "order", "root", "nodes", "edges", "x"]),
+                      inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _slots(doc):
+    """Every (container, key) in a JSON document, without recursion."""
+    slots, stack = [], [doc]
+    while stack:
+        item = stack.pop()
+        keys = range(len(item)) if type(item) is list else item if type(item) is dict else ()
+        for key in keys:
+            slots.append((item, key))
+            stack.append(item[key])
+    return slots
+
+
+@st.composite
+def mutated(draw, texts):
+    """One of ``texts`` with one structural or one textual change."""
+    text = draw(st.sampled_from(texts))
+    how = draw(st.sampled_from(["value", "delete", "cut", "char"]))
+    if how in ("value", "delete"):
+        doc = json.loads(text)
+        slots = _slots(doc)
+        container, key = draw(st.sampled_from(slots))
+        if how == "value":
+            container[key] = draw(FUZZ_VALUES)
+        else:
+            del container[key]
+        return json.dumps(doc)
+    at = draw(st.integers(0, len(text)))
+    if how == "cut":
+        return text[:at]
+    return text[:at] + draw(st.sampled_from('[]{},:"0-9.e \\xT')) + text[at + 1 :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mutated(FUZZ_NETWORKS),
+    mutated(FUZZ_PLANS),
+    st.sampled_from(["cost", "iks", "dp-linear", "dp-general", "lin-dp", "mst-iks"]),
+    st.booleans(),
+)
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, net_text, plan_text, command, flag):
+    # mutated network and plan files end in exit 0, 2 or 3 with a short
+    # message, never in an exception (a traceback from the console script)
+    folder = tmp_path_factory.mktemp("fuzz")
+    net_file, plan_file = folder / "net.json", folder / "plan.json"
+    net_file.write_text(net_text)
+    plan_file.write_text(plan_text)
+    if command == "cost":
+        argv = ["cost", "--network", str(net_file), "--plan", str(plan_file)]
+    else:
+        argv = ["order", "--algorithm", command, "--network", str(net_file),
+                "-o", str(folder / "out.json")]
+        if flag and command == "lin-dp":
+            argv += ["--order", str(plan_file)]
+        elif flag:
+            argv.append("--trace")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 0 and "--trace" in argv and command == "iks":
+        for line in err.getvalue().splitlines():
+            json.loads(line)
+    else:
+        assert len(err.getvalue().encode()) <= 1024
+    if code:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
 def test_unknown_algorithm_is_a_usage_error(five_tensor_file):

@@ -13,7 +13,8 @@ import pytest
 import tnorder
 from helpers import five_tensor_data, to_network
 
-# modules an `order --algorithm iks` or `cost` call never runs
+# modules an `order --algorithm iks` (traced or not) or `cost` call never
+# runs; the trace writes exact integers, never fractions
 UNUSED_BY_ORDER_AND_COST = [
     "tnorder.bench",
     "tnorder.generate",
@@ -50,6 +51,8 @@ def test_order_and_cost_load_only_what_they_run(tmp_path):
     calls = {
         "order": ["order", "--algorithm", "iks", "--network", str(net),
                   "-o", str(tmp_path / "out.json")],
+        "order --trace": ["order", "--algorithm", "iks", "--network", str(net),
+                          "-o", str(tmp_path / "out.json"), "--trace"],
         "cost": ["cost", "--network", str(net), "--plan", str(plan)],
     }
     for name, argv in calls.items():

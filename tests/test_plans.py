@@ -3,9 +3,10 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tnorder import LinearPlan, TreePlan, ValidationError, parse_plan
-from tnorder.plans import _tree_from_obj, tree_leaves, validate_plan
+from tnorder.plans import _read_deep, _tree_from_obj, tree_leaves, validate_plan
 
 
 def test_linear_plan_json_round_trip():
@@ -69,9 +70,9 @@ def test_deep_tree_plans_dump_without_recursion():
 
 
 def test_deep_tree_plans_round_trip_within_the_parser_limit():
-    # parse_plan reads through json.loads, which recurses once per level
-    # and rejects plans past about 1,000 levels (see
-    # test_parse_plan_rejects_trees_nested_past_the_recursion_limit)
+    # within json.loads' own depth limit, parse_plan reads through it;
+    # deeper plans go to _read_deep (see
+    # test_parse_plan_reads_trees_nested_past_the_recursion_limit)
     for root, _text in _deep_trees(500):
         plan = TreePlan(root)
         assert parse_plan(plan.to_json()) == plan
@@ -87,21 +88,68 @@ def test_parse_plan_rejects_bad_tree_arity():
         parse_plan('{"type": "tree", "root": [["a", "b", "c"], "d"]}')
 
 
-def test_parse_plan_rejects_trees_nested_past_the_recursion_limit():
-    # json.loads recurses and gives out near the limit, which must end in
-    # ValidationError; the conversion to nested tuples is iterative
+def test_parse_plan_reads_trees_nested_past_the_recursion_limit():
+    # json.loads recurses and gives out near the limit; past it the plan
+    # is read by _read_deep, into the same plan. Deep plans are compared
+    # by their JSON text, since tuple equality recurses too.
     limit = sys.getrecursionlimit()
-    outcomes = set()
-    for depth in range(limit - 200, limit + 50):
+    for depth in (*range(limit - 200, limit + 50, 10), 5000):
         text = '{"type": "tree", "root": ' + "[" * depth + '"L"'
         text += ', "R"]' * depth + "}"
-        try:
+        plan = parse_plan(text)
+        assert plan.to_json() == text
+        assert tree_leaves(plan.root) == ("L",) + ("R",) * depth
+    for root, text in _deep_trees(5000):
+        dump = TreePlan(root).to_json()
+        assert parse_plan(dump).to_json() == dump
+        spaced = '\n{"root":' + text.replace(", ", " ,\t") + ' , "type" : "tree"}\n'
+        assert parse_plan(spaced).to_json() == dump
+
+
+def test_parse_plan_rejects_malformed_deep_text():
+    deep = "[" * 3000 + '"L"' + ', "R"]' * 3000
+    faults = {
+        "truncated": '{"type": "tree", "root": ' + deep[:-1] + "}",
+        "a triple": '{"type": "tree", "root": ' + deep.replace('"L"', '"L", "M", "N"') + "}",
+        "a float leaf": '{"type": "tree", "root": ' + deep.replace('"L"', "2.5") + "}",
+        "a bad escape": '{"type": "tree", "root": ' + deep.replace('"L"', '"\\q"') + "}",
+        "trailing text": '{"type": "tree", "root": ' + deep + "} x",
+        "a missing comma": '{"type": "tree", "root": ' + deep.replace(', "R"]', ' "R"]', 1) + "}",
+        "a linear plan": '{"type": "linear", "order": ' + deep + "}",
+    }
+    for fault, text in faults.items():
+        with pytest.raises(ValidationError) as exc:
             parse_plan(text)
-            outcomes.add("parsed")
-        except ValidationError as exc:
-            assert "nested too deeply" in str(exc)
-            outcomes.add("rejected")
-    assert outcomes == {"parsed", "rejected"}
+        assert len(str(exc.value)) < 300, fault
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=5)
+    | st.floats(allow_nan=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES, st.sampled_from([None, 0, 2]), st.data())
+def test_deep_reader_reads_what_json_loads_reads(value, indent, data):
+    # the fallback reader against the fast path on shallow text: the same
+    # objects for valid JSON, and ValidationError exactly where json.loads
+    # raises, also on text cut short or with one character changed
+    text = json.dumps(value, indent=indent, ensure_ascii=data.draw(st.booleans()))
+    assert _read_deep(text) == json.loads(text)
+    cut = data.draw(st.integers(0, len(text)))
+    char = data.draw(st.sampled_from('[]{},:"0-.e tn\\x'))
+    for mutated in (text[:cut], text[:cut] + char + text[cut + 1 :]):
+        try:
+            expected = json.loads(mutated)
+        except ValueError:
+            with pytest.raises(ValidationError):
+                _read_deep(mutated)
+        else:
+            assert _read_deep(mutated) == expected
 
 
 def test_tree_conversion_has_no_depth_limit():

@@ -8,7 +8,6 @@ from tnorder import (
     TensorNetwork,
     ValidationError,
     build_precedence_graph,
-    format_precedence,
     single_entry,
 )
 from helpers import (
@@ -106,16 +105,6 @@ def test_non_tree_rejected():
     cyc = TensorNetwork("abc", [("a", "b", 2), ("b", "c", 2), ("a", "c", 2)])
     with pytest.raises(ValidationError, match="tree"):
         build_precedence_graph(cyc, "a")
-
-
-def test_format_precedence_five_tensor(five_tensor_net):
-    pg = build_precedence_graph(five_tensor_net, "T4")
-    dump = format_precedence(pg)
-    lines = dump.splitlines()
-    assert lines[0] == "T4  w=1 F=30 t=30 c=30"
-    assert "  T2  w=6 F=12 t=1/3 c=2" in lines
-    assert "    T5  w=2 F=2 t=1/2 c=1" in lines
-    assert len(lines) == 5
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,7 +13,6 @@ PUBLIC_API = [
     "dp_linear_optimal",
     "evaluate_linear",
     "evaluate_tree",
-    "format_precedence",
     "fuse",
     "generate_random_tree_network",
     "iks_order",
