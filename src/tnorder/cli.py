@@ -11,16 +11,10 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 
 # each subcommand imports the modules it runs, so a call loads no others
-from .network import (
-    SizeBoundError,
-    TensorNetwork,
-    ValidationError,
-    parse_network,
-)
+from .network import SizeBoundError, ValidationError, parse_network
 
 __all__ = ["main"]
 
@@ -52,29 +46,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_trace(net: TensorNetwork, stream) -> tuple[tuple, int]:
-    """``iks_order(net)``, writing its pass to ``stream`` as JSON lines:
-    one per rooting, then one per entry of the winning chain."""
-    from .iks import _expand, _members, _rootings
-
-    def written(rootings):
-        for cost, key, head, entries, skip in rootings:
-            chain = len(entries) - (skip is not None)
-            fused = len(net.nodes) - len(head) - chain
-            line = {"root": head[0], "cost": cost, "chain": chain, "fused": fused}
-            print(json.dumps(line), file=stream)
-            yield cost, key, head, entries, skip
-
-    best = min(written(_rootings(net, None)))
-    for k, entry in enumerate(best[3]):
-        if k != best[4]:  # a leaf rooting leaves its root's own entry out
-            P, Q, Cn, _, lead, _ = entry
-            members = len(_members([entry]))
-            line = {"lead": lead, "members": members, "P": P, "Q": Q, "Cn": Cn}
-            print(json.dumps(line), file=stream)
-    return _expand(best)
-
-
 def _cmd_order(args: argparse.Namespace) -> int:
     from .plans import LinearPlan, TreePlan
 
@@ -85,9 +56,9 @@ def _cmd_order(args: argparse.Namespace) -> int:
 
     plan: LinearPlan | TreePlan
     if algorithm == "iks":
-        from .iks import iks_order
+        from .iks import _traced_order, iks_order
 
-        order, cost = _emit_trace(net, sys.stderr) if args.trace else iks_order(net)
+        order, cost = _traced_order(net, sys.stderr) if args.trace else iks_order(net)
         plan = LinearPlan(order)
     elif algorithm == "dp-linear":
         from .oracles import dp_linear_optimal
@@ -117,8 +88,14 @@ def _cmd_order(args: argparse.Namespace) -> int:
         from .heuristics import max_spanning_tree, order_arbitrary
 
         if args.trace:
-            _emit_trace(max_spanning_tree(net), sys.stderr)
-        order, cost = order_arbitrary(net)
+            from .cost import evaluate_linear
+            from .iks import _traced_order
+
+            # order_arbitrary's steps, with the iks pass traced
+            order, _ = _traced_order(max_spanning_tree(net), sys.stderr)
+            cost = evaluate_linear(net, order).cost
+        else:
+            order, cost = order_arbitrary(net)
         plan = LinearPlan(order)
 
     _write(args.output, plan.to_json() + "\n")

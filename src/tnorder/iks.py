@@ -50,16 +50,21 @@ of that kept merge and the chain from above, and each child's chain from
 above is that node absorbing the merge without the child's entries. So
 each directed edge is linearized at most once, 2(n - 1) in all. A leaf
 rooting is priced from its parent's rooting, without a chain of its own.
-The walk is one generator, ``_rootings``: ``iks_order`` keeps its
-cheapest rooting, and ``order --trace`` writes each one as it goes.
+The walk is one generator, ``_rootings``, and the only linearizer here:
+``iks_order`` keeps its cheapest rooting; ``_traced_order``, behind
+``order --trace`` (also for ``mst-iks``, on its spanning tree), writes
+each one as it goes and returns the cheapest; and the per-root views
+``linearize_root`` and ``linearized_chain`` read its first record, the
+rooting at the graph's own root.
 """
 
 from __future__ import annotations
 
+import json
 import time
 from typing import Iterator, NamedTuple
 
-from .network import NodeId, TensorNetwork, ValidationError, id_key
+from .network import NodeId, TensorNetwork, id_key
 from .precedence import PrecedenceGraph, build_precedence_graph
 
 __all__ = [
@@ -267,60 +272,16 @@ def _upward_chains(
     return up, below, keys
 
 
-def linearized_chain(pg: PrecedenceGraph) -> list[SequenceEntry]:
-    """Bottom-up linearization of a precedence graph, before expansion.
-
-    Every subtree is reduced to a rank-sorted chain (see
-    ``_upward_chains``), and the root is absorbed last over w = 1.
+def _rootings(pg: PrecedenceGraph, deadline: float | None) -> Iterator[tuple]:
+    """Every rooting of the tree behind ``pg``, priced in one walk, as a
+    record ``(cost, root_key, head, entries, skip)``: the cheapest order
+    from that root is ``head`` (the root, or a leaf root and its
+    neighbour) followed by ``entries`` expanded without position ``skip``
+    (unless None), and costs ``cost``. The first record is ``pg.root``'s.
+    Root keys are unique, so records order by (cost, root id) alone.
+    ``entries`` may be shared between records and is never changed.
+    ``deadline`` is as for ``iks_order``.
     """
-    root = pg.root
-    up, _, keys = _upward_chains(pg, None)
-    merged = merge_children([up[u] for u in pg.children[root]])
-    return [
-        SequenceEntry(tuple(_members([e])), *e[:3])
-        for e in _absorb(root, keys[root], pg.F[root], 1, merged)
-    ]
-
-
-def linearize_root(pg: PrecedenceGraph) -> tuple[tuple[NodeId, ...], int]:
-    """Cheapest linear order starting at ``pg.root`` and respecting it.
-
-    Returns the expanded order and its exact cost. The order is
-    outer-product-free (every prefix is connected by construction) and
-    cost-minimal among all orders compatible with this rooting.
-    """
-    return _order_and_cost(pg, linearized_chain(pg))
-
-
-def _order_and_cost(
-    pg: PrecedenceGraph, chain: list[SequenceEntry]
-) -> tuple[tuple[NodeId, ...], int]:
-    """The order ``linearized_chain(pg)`` stands for, with its exact cost."""
-    head, *rest = chain
-    # the root entry is (its size, Q = 1, F(root) + its cost), see _absorb;
-    # the rest is priced onto it as in _prefix_costs
-    size, cost = head.P, head.Cn - pg.F[pg.root]
-    for _, P, Q, Cn in rest:
-        cost += size * Cn // Q
-        size = size * P // Q
-    return (*head.members, *(v for e in rest for v in e.members)), cost
-
-
-def _rootings(net: TensorNetwork, deadline: float | None) -> Iterator[tuple]:
-    """Every rooting of a tree network, priced in one walk, as a record
-    ``(cost, root_key, head, entries, skip)``: the cheapest order from
-    that root is ``head`` (the root, or a leaf root and its neighbour)
-    followed by ``entries`` expanded without position ``skip`` (unless
-    None), and costs ``cost``. Root keys are unique, so records order by
-    (cost, root id) alone. ``entries`` may be shared between records and
-    is never changed. ``deadline`` is as for ``iks_order``.
-    """
-    if not net.is_tree:
-        raise ValidationError(
-            "optimal linear ordering requires a tree network; "
-            "use order_arbitrary for general networks"
-        )
-    pg = build_precedence_graph(net, net.nodes[0])
     F, w, children, root = pg.F, pg.w, pg.children, pg.root
     up, below, keys = _upward_chains(pg, deadline)
     below[root] = merge_children([up[u] for u in children[root]])
@@ -377,6 +338,20 @@ def _expand(rooting: tuple) -> tuple[tuple[NodeId, ...], int]:
     return (*head, *_members(entries)), cost
 
 
+def linearize_root(pg: PrecedenceGraph) -> tuple[tuple[NodeId, ...], int]:
+    """Cheapest linear order starting at ``pg.root`` and respecting it,
+    with its exact cost: the walk's first record, expanded."""
+    return _expand(next(_rootings(pg, None)))
+
+
+def linearized_chain(pg: PrecedenceGraph) -> list[SequenceEntry]:
+    """The chain behind ``linearize_root(pg)``: the walk's first record
+    with the root absorbing its head over w = 1."""
+    _, key, _, merged, _ = next(_rootings(pg, None))
+    chain = _absorb(pg.root, key, pg.F[pg.root], 1, merged)
+    return [SequenceEntry(tuple(_members([e])), *e[:3]) for e in chain]
+
+
 def iks_order(
     net: TensorNetwork, *, deadline: float | None = None
 ) -> tuple[tuple[NodeId, ...], int]:
@@ -389,4 +364,29 @@ def iks_order(
     subtree chains are built, and once per internal node and per chain
     from above while rootings are priced.
     """
-    return _expand(min(_rootings(net, deadline)))
+    pg = build_precedence_graph(net, net.nodes[0])
+    return _expand(min(_rootings(pg, deadline)))
+
+
+def _traced_order(net: TensorNetwork, stream) -> tuple[tuple[NodeId, ...], int]:
+    """``iks_order(net)``, writing its pass to ``stream`` as JSON lines:
+    one per rooting, then one per entry of the winning chain."""
+    n = len(net.nodes)
+
+    def written(rootings):
+        for record in rootings:
+            cost, _, head, entries, skip = record
+            chain = len(entries) - (skip is not None)
+            line = {"root": head[0], "cost": cost, "chain": chain,
+                    "fused": n - len(head) - chain}
+            print(json.dumps(line), file=stream)
+            yield record
+
+    best = min(written(_rootings(build_precedence_graph(net, net.nodes[0]), None)))
+    for k, entry in enumerate(best[3]):
+        if k != best[4]:  # a leaf rooting leaves its root's own entry out
+            P, Q, Cn, _, lead, _ = entry
+            members = len(_members([entry]))
+            line = {"lead": lead, "members": members, "P": P, "Q": Q, "Cn": Cn}
+            print(json.dumps(line), file=stream)
+    return _expand(best)

@@ -45,17 +45,42 @@ __all__ = [
 # only a plan of its own type, never the other plan type or a plain tuple
 # of the same items.
 def _plan_eq(self, other) -> bool:
-    return type(other) is type(self) and tuple.__eq__(self, other)
+    return type(other) is type(self) and _tokens(self) == _tokens(other)
 
 
 def _plan_ne(self, other) -> bool:
     return not _plan_eq(self, other)
 
 
+def _plan_hash(self) -> int:
+    return hash(tuple(_tokens(self)))
+
+
+_TUPLE = object()  # token: a tuple follows, its length, then its items
+
+
+def _tokens(plan) -> list:
+    """The plan in preorder as one flat list: a tuple as _TUPLE, its
+    length, then its items; a leaf as itself. Two lists are equal exactly
+    when the nested tuples are (leaves compared with ==), and building
+    one needs no recursion, where tuple equality and hashing recurse
+    once per tree level."""
+    out = []
+    stack = [tuple(plan)]
+    while stack:
+        item = stack.pop()
+        if type(item) is tuple:
+            out += (_TUPLE, len(item))
+            stack += item[::-1]
+        else:
+            out.append(item)
+    return out
+
+
 class LinearPlan(NamedTuple):
     order: tuple[NodeId, ...]
 
-    __eq__, __ne__, __hash__ = _plan_eq, _plan_ne, tuple.__hash__
+    __eq__, __ne__, __hash__ = _plan_eq, _plan_ne, _plan_hash
 
     def to_json(self) -> str:
         return json.dumps({"type": "linear", "order": list(self.order)})
@@ -68,7 +93,7 @@ _CLOSE, _COMMA = object(), object()
 class TreePlan(NamedTuple):
     root: TreeNode
 
-    __eq__, __ne__, __hash__ = _plan_eq, _plan_ne, tuple.__hash__
+    __eq__, __ne__, __hash__ = _plan_eq, _plan_ne, _plan_hash
 
     def to_json(self) -> str:
         """``json.dumps({"type": "tree", "root": self.root})``, written

@@ -25,6 +25,10 @@ does not depend on the root: it is the network's size table
 (``TensorNetwork.sizes``), shared and not copied. The ``iks`` solver
 roots the tree once this way and derives every other rooting from it,
 for ``iks_order`` and ``order --trace`` alike.
+
+This is the one place that rejects a non-tree network: ``iks_order``,
+its trace and its per-root views all start from a precedence graph, and
+the message names the spanning-tree heuristic for general networks.
 """
 
 from __future__ import annotations
@@ -52,8 +56,8 @@ class PrecedenceGraph:
             raise ValidationError(f"unknown root node id {_echo(root)}")
         if not net.is_tree:
             raise ValidationError(
-                "precedence graphs are defined for tree networks only; "
-                "extract a spanning tree first"
+                "optimal linear ordering requires a tree network; use "
+                "order_arbitrary (order --algorithm mst-iks) for general networks"
             )
 
         adjacency = net.adjacency

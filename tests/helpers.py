@@ -5,7 +5,9 @@ The oracle models tensors as lists of labeled legs and contracts by
 merging leg lists, so it shares no code path with src/. Every frozen
 constant in the test suite was computed through it. The path optimum
 (``path_linear_optimum``) is an interval DP that shares no code with
-src/ either.
+src/ either. The per-root reference (``linearize_reference``) rebuilds
+the rank rule from the public calculus alone, without the solver's
+rooting walk.
 
 Network data passes around as ``(nodes, edges)`` where nodes maps id to
 open_mult and edges is a list of ``(u, v, size)``.
@@ -16,8 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from functools import cmp_to_key, reduce
 
-from tnorder import TensorNetwork
+from tnorder import TensorNetwork, fuse, rank_leq, single_entry
+from tnorder.network import id_key
 
 # ---------------------------------------------------------------- fixtures
 
@@ -223,6 +227,39 @@ def random_precedence_order(rng: random.Random, nodes, edges, root):
     return order
 
 
+# ------------------------------------------------------ per-root reference
+
+
+def _rank_cmp(a, b) -> int:
+    """Order of two sequence entries by (rank, leading id)."""
+    if rank_leq(a, b) and rank_leq(b, a):
+        ka, kb = id_key(a.members[0]), id_key(b.members[0])
+        return (ka > kb) - (ka < kb)
+    return -1 if rank_leq(a, b) else 1
+
+
+def linearize_reference(pg):
+    """Cheapest order from ``pg.root`` respecting it, with its exact cost.
+
+    At each node, bottom-up, the entries of its children's chains are
+    sorted by (rank, leading id), and the node's single entry fuses each
+    next entry whose rank is no greater than its own. The root's chain,
+    fused whole, has C = F(root) + cost, since w(root) = 1.
+    """
+    chains = {}
+    for v in reversed(pg.preorder):
+        merged = sorted((e for u in pg.children[v] for e in chains.pop(u)),
+                        key=cmp_to_key(_rank_cmp))
+        head = single_entry(pg, v)
+        while merged and rank_leq(merged[0], head):
+            head = fuse(head, merged.pop(0))
+        chains[v] = [head, *merged]
+    whole = reduce(fuse, chains[pg.root])
+    cost, rem = divmod(whole.Cn, whole.Q)
+    assert rem == 0
+    return whole.members, cost - pg.F[pg.root]
+
+
 # ------------------------------------------------------------ path oracle
 
 
@@ -322,3 +359,42 @@ def shaped_tree(rng, shape, n, dim_lo=1, dim_hi=9, open_hi=3):
         edges.append((f"T{p + 1}", f"T{i + 1}", rng.randint(dim_lo, dim_hi)))
     rng.shuffle(edges)
     return nodes, edges
+
+
+def prufer_tree(seq, n):
+    """The labelled tree on 0..n-1 with Prufer sequence ``seq``."""
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = degree.index(1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(i for i in range(n) if degree[i] == 1))
+    return edges
+
+
+def small_trees():
+    """Tree data: every shape up to 7 nodes, then 60 random and shaped
+    trees of 8 to 40 nodes.
+
+    The sorted Prufer sequences give every tree shape up to 7 nodes (all
+    11 at n = 7), some in several labellings; dims 1-3 and open legs make
+    equal ranks and equal rooting costs common.
+    """
+    rng = random.Random(16)
+    for n in range(2, 8):
+        for seq in itertools.combinations_with_replacement(range(n), n - 2):
+            nodes = {f"T{i}": rng.randint(1, 3) for i in range(n)}
+            edges = [(f"T{a}", f"T{b}", rng.randint(1, 3))
+                     for a, b in prufer_tree(seq, n)]
+            yield nodes, edges
+    for k in range(60):
+        n = rng.randint(8, 40)
+        if k % 2:
+            yield random_tree_data(rng, n, dim_lo=1, dim_hi=6, open_hi=3)
+        else:
+            shape = ("star", "path", "caterpillar", "random")[k // 2 % 4]
+            yield shaped_tree(rng, shape, n, dim_lo=1, dim_hi=4)

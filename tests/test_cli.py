@@ -1,7 +1,6 @@
 import contextlib
 import csv
 import io
-import itertools
 import json
 import os
 import random
@@ -26,13 +25,13 @@ from tnorder import (
 )
 from tnorder.bench import CSV_HEADER, BenchRecord
 from tnorder.cli import main
-from tnorder.iks import linearize_root
 from tnorder.oracles import LIN_DP_MAX_NODES
 from helpers import (
     five_tensor_data,
+    linearize_reference,
     matrix_chain_data,
-    random_tree_data,
-    shaped_tree,
+    random_connected_data,
+    small_trees,
     to_network,
 )
 
@@ -319,44 +318,41 @@ def test_order_trace_linearizes_each_root_once(five_tensor_file, capsys, monkeyp
     assert calls == {"linearized_chain": [], "_upward_chains": ["T1"]}
 
 
-def _prufer_tree(seq, n):
-    """The labelled tree on 0..n-1 with Prufer sequence ``seq``."""
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    for v in seq:
-        leaf = degree.index(1)
-        edges.append((leaf, v))
-        degree[leaf] -= 1
-        degree[v] -= 1
-    edges.append(tuple(i for i in range(n) if degree[i] == 1))
-    return edges
+def test_order_mst_iks_trace_is_one_pass(tmp_path, capsys, monkeypatch):
+    import tnorder.heuristics
+    import tnorder.iks
 
+    # a 40-node tree with 8 chords: the spanning tree is built once and
+    # walked once, and the plan and cost are those of an untraced call
+    net_file, plan_file = tmp_path / "loopy.json", tmp_path / "plan.json"
+    nodes, edges = random_connected_data(random.Random(40), 40, 8, open_hi=3)
+    net_file.write_text(to_network(nodes, edges).to_json())
+    argv = ["order", "--algorithm", "mst-iks", "--network", str(net_file),
+            "-o", str(plan_file)]
+    assert main(argv) == 0
+    out, plan = capsys.readouterr().out, plan_file.read_bytes()
+    calls = {}
+    for module, name in ((tnorder.heuristics, "max_spanning_tree"),
+                         (tnorder.iks, "_upward_chains")):
+        real = getattr(module, name)
 
-def _small_trees():
-    # the sorted Prufer sequences give every tree shape up to 7 nodes
-    # (all 11 at n = 7), some in several labellings; dims 1-3 and open
-    # legs make equal ranks and equal rooting costs common
-    rng = random.Random(16)
-    for n in range(2, 8):
-        for seq in itertools.combinations_with_replacement(range(n), n - 2):
-            nodes = {f"T{i}": rng.randint(1, 3) for i in range(n)}
-            edges = [(f"T{a}", f"T{b}", rng.randint(1, 3))
-                     for a, b in _prufer_tree(seq, n)]
-            yield nodes, edges
-    for k in range(60):
-        n = rng.randint(8, 40)
-        if k % 2:
-            yield random_tree_data(rng, n, dim_lo=1, dim_hi=6, open_hi=3)
-        else:
-            shape = ("star", "path", "caterpillar", "random")[k // 2 % 4]
-            yield shaped_tree(rng, shape, n, dim_lo=1, dim_hi=4)
+        def counted(*args, real=real, name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert main([*argv, "--trace"]) == 0
+    traced = capsys.readouterr()
+    assert calls == {"max_spanning_tree": 1, "_upward_chains": 1}
+    assert (traced.out, plan_file.read_bytes()) == (out, plan)
+    lines = [json.loads(line) for line in traced.err.splitlines()]
+    assert sorted(line["root"] for line in lines if "root" in line) == sorted(nodes)
+    assert len(lines) <= 2 * len(nodes) + 2
 
 
 def test_order_trace_costs_match_each_rooting(tmp_path, capsys):
     net_file = tmp_path / "net.json"
-    for nodes, edges in _small_trees():
+    for nodes, edges in small_trees():
         net = to_network(nodes, edges)
         net_file.write_text(net.to_json())
         assert main(["order", "--algorithm", "iks", "--network", str(net_file),
@@ -366,7 +362,7 @@ def test_order_trace_costs_match_each_rooting(tmp_path, capsys):
         traced = [(line["root"], line["cost"]) for line in lines if "root" in line]
         assert sorted(root for root, _ in traced) == sorted(nodes)
         for root, cost in traced:
-            assert cost == linearize_root(build_precedence_graph(net, root))[1]
+            assert cost == linearize_reference(build_precedence_graph(net, root))[1]
         assert out == f"{min(cost for _, cost in traced)}\n"
 
 

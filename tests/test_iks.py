@@ -24,11 +24,13 @@ from tnorder import (
 from tnorder.iks import linearize_root, linearized_chain, merge_children
 from tnorder.network import id_key
 from helpers import (
+    linearize_reference,
     min_linear_cost,
     mps_path_data,
     random_precedence_order,
     random_tree_data,
     shaped_tree,
+    small_trees,
     to_network,
 )
 
@@ -366,10 +368,19 @@ def per_root_minimum(net):
     # strictly cheaper one in id order
     best = None
     for root in sorted(net.nodes):
-        order, cost = linearize_root(build_precedence_graph(net, root))
+        order, cost = linearize_reference(build_precedence_graph(net, root))
         if best is None or cost < best[1]:
             best = order, cost
     return best
+
+
+def test_linearize_root_matches_the_reference():
+    # every rooting of every small tree, ties in rank and cost included
+    for nodes, edges in small_trees():
+        net = to_network(nodes, edges)
+        for root in nodes:
+            pg = build_precedence_graph(net, root)
+            assert linearize_root(pg) == linearize_reference(pg)
 
 
 SHAPES = ("random", "star", "path", "caterpillar")
@@ -408,16 +419,15 @@ def test_each_directed_edge_linearized_at_most_once(shape, monkeypatch):
         net = to_network(*shaped_tree(random.Random(n), shape, n))
         iks_order(net)
         assert len(calls) <= 2 * (n - 1)
-        # per-root linearization absorbs at the root and at each other
-        # node with children; a leaf's chain is built without _absorb
+        # linearize_root reads the walk's first record: one _absorb per
+        # non-root node with children; a leaf's chain is built without
+        # _absorb, and the root's own rooting needs none
         calls.clear()
-        per_root_minimum(net)
-        internal = sum(
-            1
-            for root in net.nodes
-            for v, kids in build_precedence_graph(net, root).children.items()
-            if kids or v == root
-        )
+        internal = 0
+        for root in net.nodes:
+            pg = build_precedence_graph(net, root)
+            linearize_root(pg)
+            internal += sum(1 for v in pg.preorder[1:] if pg.children[v])
         assert len(calls) == internal
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import subprocess
 import sys
 
 import pytest
@@ -90,8 +91,7 @@ def test_parse_plan_rejects_bad_tree_arity():
 
 def test_parse_plan_reads_trees_nested_past_the_recursion_limit():
     # json.loads recurses and gives out near the limit; past it the plan
-    # is read by _read_deep, into the same plan. Deep plans are compared
-    # by their JSON text, since tuple equality recurses too.
+    # is read by _read_deep, into the same plan
     limit = sys.getrecursionlimit()
     for depth in (*range(limit - 200, limit + 50, 10), 5000):
         text = '{"type": "tree", "root": ' + "[" * depth + '"L"'
@@ -101,9 +101,46 @@ def test_parse_plan_reads_trees_nested_past_the_recursion_limit():
         assert tree_leaves(plan.root) == ("L",) + ("R",) * depth
     for root, text in _deep_trees(5000):
         dump = TreePlan(root).to_json()
+        assert parse_plan(dump) == TreePlan(root)
         assert parse_plan(dump).to_json() == dump
         spaced = '\n{"root":' + text.replace(", ", " ,\t") + ' , "type" : "tree"}\n'
         assert parse_plan(spaced).to_json() == dump
+
+
+def test_deep_tree_plans_compare_and_hash_without_recursion():
+    # 5,000 levels: equal plans built apart, and plans that differ only
+    # at their deepest leaf
+    for root, _text in _deep_trees(5000):
+        twin = parse_plan(TreePlan(root).to_json())
+        assert twin == TreePlan(root) and not twin != TreePlan(root)
+        assert hash(twin) == hash(TreePlan(root))
+    left, right = ("T0", "T1"), ("T0", "T1")
+    for v in range(2, 5000):
+        left, right = (left, v), (right, v)
+    assert TreePlan(left) == TreePlan(right)
+    right = ("X", "T1")
+    for v in range(2, 5000):
+        right = (right, v)
+    assert TreePlan(left) != TreePlan(right)
+    assert not TreePlan(left) == TreePlan(right)
+    assert TreePlan(left) != LinearPlan(left) and TreePlan(left) != (left,)
+
+
+def test_a_million_level_tree_plan_compares_and_hashes():
+    # in a child process: the C tuple hash recursed once per level and
+    # crashed the interpreter at this depth
+    script = """
+from tnorder import TreePlan
+node = "L"
+for v in range(10**6):
+    node = (node, v)
+plan, twin = TreePlan(node), TreePlan(node)
+assert plan == twin and hash(plan) == hash(twin)
+assert plan != TreePlan(("R", node))
+"""
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_parse_plan_rejects_malformed_deep_text():
