@@ -4,9 +4,11 @@ Three guards: ``dp_linear_optimal`` on a 19-node star (2^18 connected
 subsets, the most a tree of 19 nodes has), the O(n^2) path oracle in
 ``helpers``, which gives the optimum of paths with up to a thousand
 nodes, and ``plan_ledger.json``, which pins the plan bytes (as sha256)
-and the exact cost of ``iks`` on six tree families up to 2048 nodes and
-of ``mst-iks`` on loopy networks. A change to the solvers that moves
-any plan byte or cost fails here.
+and the exact cost of ``iks`` on six tree families up to 2048 nodes, of
+``mst-iks`` on loopy networks, of ``lin-dp`` on the iks order of those
+families and on a shuffled order of a dims {1, 2} tree up to 256 nodes,
+and of ``dp-general`` on loopy networks of 10 and 12 nodes. A change to
+the solvers that moves any plan byte or cost fails here.
 
 Regenerate the ledger, only for a change that means to move a plan and
 explains why, with ``PYTHONPATH=src:tests python tests/test_exact_at_scale.py``.
@@ -24,9 +26,12 @@ import pytest
 from tnorder import (
     LinearPlan,
     TensorNetwork,
+    TreePlan,
+    dp_general_optimal,
     dp_linear_optimal,
     evaluate_linear,
     iks_order,
+    linearized_dp,
     order_arbitrary,
 )
 from helpers import (
@@ -35,6 +40,7 @@ from helpers import (
     mps_path_data,
     path_linear_optimum,
     random_connected_data,
+    random_tree_data,
     shaped_tree,
 )
 
@@ -100,6 +106,8 @@ LEDGER = Path(__file__).with_name("plan_ledger.json")
 TREE_FAMILIES = ("random", "path", "star", "caterpillar", "binary-ttn", "spider")
 TREE_SIZES = (64, 256, 512, 1024, 2048)
 LOOPY_SIZES = (32, 64, 128, 256)
+LIN_DP_SIZES = (64, 128, 256)
+DP_GENERAL_SIZES = (10, 12)
 
 
 def _seeds(n: int) -> tuple[int, ...]:
@@ -116,32 +124,64 @@ def _tree_data(family: str, rng: random.Random, n: int):
 
 
 def ledger_cases():
-    """(key, algorithm, nodes, edges) for every ledger entry."""
+    """(key, algorithm, nodes, edges, base) for every ledger entry; base is
+    lin-dp's base order, or None for the iks order."""
     for family in TREE_FAMILIES:
         for n in TREE_SIZES:
             for seed in _seeds(n):
                 key = f"iks/{family}/{n}/{seed}"
-                yield key, "iks", *_tree_data(family, random.Random(key), n)
+                yield key, "iks", *_tree_data(family, random.Random(key), n), None
     for n in LOOPY_SIZES:
         for seed in _seeds(n):
             key = f"mst-iks/loopy/{n}/{seed}"
             yield key, "mst-iks", *random_connected_data(
                 random.Random(key), n, n // 8, open_hi=3
-            )
+            ), None
+    # one seed each: the interval DP takes about 2 s at n = 256, and 8 s
+    # on a star (4 s on a spider), whose many disconnected intervals have
+    # huge sizes, so those two stop at 128
+    for family in TREE_FAMILIES:
+        for n in LIN_DP_SIZES if family not in ("star", "spider") else LIN_DP_SIZES[:2]:
+            key = f"lin-dp/{family}/{n}/1"
+            yield key, "lin-dp", *_tree_data(family, random.Random(key), n), None
+    for n in LIN_DP_SIZES:
+        # dims {1, 2}: splits tie often; a shuffled order: many intervals
+        # are disconnected and priced as outer products
+        key = f"lin-dp/shuffled/{n}/1"
+        rng = random.Random(key)
+        nodes, edges = random_tree_data(rng, n, dim_lo=1, dim_hi=2, open_hi=2)
+        base = list(nodes)
+        rng.shuffle(base)
+        yield key, "lin-dp", nodes, edges, base
+    for n in DP_GENERAL_SIZES:
+        for seed in (1, 2):
+            key = f"dp-general/loopy/{n}/{seed}"
+            yield key, "dp-general", *random_connected_data(
+                random.Random(key), n, n // 4, open_hi=3
+            ), None
 
 
-def ledger_entry(algorithm: str, nodes, edges) -> dict[str, str]:
+def ledger_entry(algorithm: str, nodes, edges, base=None) -> dict[str, str]:
     net = TensorNetwork(nodes, edges)
-    order, cost = (iks_order if algorithm == "iks" else order_arbitrary)(net)
-    digest = hashlib.sha256(LinearPlan(order).to_json().encode()).hexdigest()
+    plan: LinearPlan | TreePlan
+    if algorithm == "lin-dp":
+        tree, cost = linearized_dp(net, iks_order(net)[0] if base is None else base)
+        plan = TreePlan(tree)
+    elif algorithm == "dp-general":
+        tree, cost = dp_general_optimal(net)
+        plan = TreePlan(tree)
+    else:
+        order, cost = (iks_order if algorithm == "iks" else order_arbitrary)(net)
+        plan = LinearPlan(order)
+    digest = hashlib.sha256(plan.to_json().encode()).hexdigest()
     # a decimal string: JSON readers may cap the digits of an integer
     return {"sha256": digest, "cost": str(cost)}
 
 
 def build_ledger() -> dict[str, dict[str, str]]:
     return {
-        key: ledger_entry(algorithm, nodes, edges)
-        for key, algorithm, nodes, edges in ledger_cases()
+        key: ledger_entry(algorithm, nodes, edges, base)
+        for key, algorithm, nodes, edges, base in ledger_cases()
     }
 
 

@@ -442,6 +442,9 @@ def test_lin_dp_prices_few_splits(monkeypatch):
     linearized_dp(net, order)
     splits = n * (n * n - 1) // 6
     assert calls[0] <= splits // 4
+    # exactly the splits that strictly beat the best so far, and the first
+    # split of each interval: any change to the skip tests keeps this count
+    assert calls[0] == 5462
 
 
 def test_dp_general_prices_few_partitions(monkeypatch):
@@ -458,6 +461,7 @@ def test_dp_general_prices_few_partitions(monkeypatch):
     dp_general_optimal(net)
     partitions = (3**n - 2 ** (n + 1) + 1) // 2
     assert calls[0] <= partitions // 4
+    assert calls[0] == 12331  # the strict winners and each mask's first split
 
 
 # ------------------------------------------------- two-layer dp_linear
