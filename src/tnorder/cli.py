@@ -72,9 +72,10 @@ def _cmd_order(args: argparse.Namespace) -> int:
         plan = TreePlan(tree)
     elif algorithm == "lin-dp":
         from .heuristics import order_arbitrary
-        from .oracles import linearized_dp
+        from .oracles import _check_bound, linearized_dp
         from .plans import parse_plan
 
+        _check_bound(net, algorithm)  # before the base order is computed
         if args.order is not None:
             base = parse_plan(_read(args.order))
             if not isinstance(base, LinearPlan):

@@ -25,13 +25,17 @@ raising ``TimeoutError`` so a partial table is discarded cleanly.
 
 The split loops of ``dp_general_optimal`` and ``linearized_dp`` price a
 split of S into halves A and B only when it can beat the best split found
-so far. The legs A and B share divide both |A| and |B|, so cost(A, B) >=
-max(|A|, |B|); and since |S| = |A| |B| / shared^2, cost(A, B)^2 = |A| |B|
-|S|. With gap = best so far - best(A) - best(B), a split is skipped when
-gap <= max(|A|, |B|) or |A| |B| |S| >= gap^2, all in exact integers; only a
-split that strictly wins takes an isqrt for its cost. The scan order and
-the strict comparison are those of pricing every split, so ties still go
-to the first minimum and plans are the same.
+so far. Each split is tested in two steps, in exact integers. First the
+half-sum: a split costs at least 1, so with part = best(A) + best(B) it
+is skipped when part >= best so far, before any size is read. Then one
+square test: since |S| = |A| |B| / shared^2 for the legs A and B share,
+cost(A, B)^2 = |A| |B| |S|, and with gap = best so far - part the split is
+skipped when |A| |B| |S| >= gap^2. The bound cost(A, B) >= max(|A|, |B|)
+(shared divides both sizes) needs no test of its own: when gap > 0 it
+only skips splits with cost >= gap, which the square test skips too.
+Only a split that strictly wins takes an isqrt for its cost. The scan
+order and the strict comparison are those of pricing every split, so
+ties still go to the first minimum and plans are the same.
 """
 
 from __future__ import annotations
@@ -58,9 +62,32 @@ DP_LINEAR_MAX_NODES = 30
 # (Python 3.11, 2 cores)
 DP_LINEAR_MAX_SUBSETS = 2**20
 DP_GENERAL_MAX_NODES = 16
-# O(n^3) over big integers: 0.6 s on a random 256-node tree, 8 s on a
-# 256-node path of 10^6 bonds, 35 s on a 384-node one (Python 3.11, 2 cores)
+# O(n^3) over big integers, on the iks order: 0.3 s on a random 256-node
+# tree, 0.9 s on a 256-node path of 10^6 bonds, 4.5 s on a 384-node one
+# (Python 3.11, 2 cores)
 LIN_DP_MAX_NODES = 256
+
+
+def _check_bound(net: TensorNetwork, algorithm: str) -> None:
+    """Raise ``SizeBoundError`` if ``algorithm`` (``dp-linear``,
+    ``dp-general`` or ``lin-dp``) refuses ``net``, before any DP work."""
+    n = len(net.nodes)
+    name, bound = {
+        "dp-linear": ("linear", DP_LINEAR_MAX_NODES),
+        "dp-general": ("general", DP_GENERAL_MAX_NODES),
+        "lin-dp": ("interval", LIN_DP_MAX_NODES),
+    }[algorithm]
+    if n > bound:
+        raise SizeBoundError(
+            f"network has {n} nodes; the {name} DP is bounded at {bound}"
+        )
+    if algorithm == "dp-linear":
+        subsets = _tree_subset_count(net)
+        if subsets > DP_LINEAR_MAX_SUBSETS:
+            raise SizeBoundError(
+                f"network has at least {subsets} connected subsets; the "
+                f"linear DP is bounded at {DP_LINEAR_MAX_SUBSETS}"
+            )
 
 
 def _indexed(
@@ -92,18 +119,8 @@ def dp_linear_optimal(
     subsets, counted on a spanning tree before any work. Two layers of
     subsets are live at a time (see the module docstring).
     """
+    _check_bound(net, "dp-linear")
     n = len(net.nodes)
-    if n > DP_LINEAR_MAX_NODES:
-        raise SizeBoundError(
-            f"network has {n} nodes; the linear DP is bounded at "
-            f"{DP_LINEAR_MAX_NODES}"
-        )
-    subsets = _tree_subset_count(net)
-    if subsets > DP_LINEAR_MAX_SUBSETS:
-        raise SizeBoundError(
-            f"network has at least {subsets} connected subsets; the linear DP "
-            f"is bounded at {DP_LINEAR_MAX_SUBSETS}"
-        )
     nodes = net.nodes
     if n == 1:
         return (nodes[0],), 0
@@ -217,18 +234,15 @@ def dp_general_optimal(
     nodes. Each partition is visited once, as S1 = low | s with low the
     lowest bit of S and s descending over the proper submasks of S - low;
     the first minimum in that order wins ties. A partition is priced only
-    if it can strictly win: it is skipped when the gap to the best so far
-    is at most max(|S1|, |S2|), a lower bound on its cost, or when
-    |S1| |S2| |S| >= gap^2, since cost^2 = |S1| |S2| |S|. A partition whose
+    if it can strictly win: it is skipped when best(S1) + best(S2) is at
+    least the best so far (a split costs at least 1), and else when
+    |S1| |S2| |S| >= gap^2, with gap the difference, since cost^2 =
+    |S1| |S2| |S|; that also covers cost >= max(|S1|, |S2|). A partition whose
     halves share no edge is priced as an outer product; such splits do
     win occasionally, so nothing restricts the search to connected halves.
     """
+    _check_bound(net, "dp-general")
     n = len(net.nodes)
-    if n > DP_GENERAL_MAX_NODES:
-        raise SizeBoundError(
-            f"network has {n} nodes; the general DP is bounded at "
-            f"{DP_GENERAL_MAX_NODES}"
-        )
     nodes = net.nodes
     if n == 1:
         return nodes[0], 0
@@ -255,11 +269,13 @@ def dp_general_optimal(
             s = (s - 1) & high
             sub = low | s
             rest = mask ^ sub
-            left, right = size[sub], size[rest]
             part = best[sub] + best[rest]
+            if part >= cur:
+                continue  # a split costs at least 1
             gap = cur - part
-            if gap <= left or gap <= right or left * right * whole >= gap * gap:
-                continue  # cost >= max(left, right), cost^2 = left*right*whole
+            left, right = size[sub], size[rest]
+            if left * right * whole >= gap * gap:
+                continue  # cost^2 = left * right * whole
             cur = part + _split_cost(left, right, whole)
             at = sub
         best[mask] = cur
@@ -286,17 +302,16 @@ def linearized_dp(
     The result never costs more than contracting ``order`` linearly.
 
     Splits of [i, j] are scanned left to right and the first minimum wins
-    ties. A split at k is priced only if it can strictly win: with gap the
-    best so far minus (best[i][k] + best[k+1][j]), it is skipped when gap is
-    at most the larger half's size, a lower bound on its cost, or when
-    |left| |right| |whole| >= gap^2, since cost^2 = |left| |right| |whole|.
+    ties. A split at k is priced only if it can strictly win: it is skipped
+    when part = best[i][k] + best[k+1][j] is at least the best so far (a
+    split costs at least 1), and else when |left| |right| |whole| >= gap^2,
+    with gap the best so far minus part, since cost^2 = |left| |right|
+    |whole|; that also covers cost >= max(|left|, |right|). Column copies
+    of the size and cost tables let a scan read best[k+1][j] and
+    sz[k+1][j] as one-level subscripts of column j.
     """
+    _check_bound(net, "lin-dp")
     n = len(net.nodes)
-    if n > LIN_DP_MAX_NODES:
-        raise SizeBoundError(
-            f"network has {n} nodes; the interval DP is bounded at "
-            f"{LIN_DP_MAX_NODES}"
-        )
     if isinstance(order, LinearPlan):
         seq = order.order
     else:
@@ -306,35 +321,41 @@ def linearized_dp(
         return seq[0], 0
     tsize, adj = _indexed(net, seq)
 
-    # sz[i][j]: compound size of seq[i..j], extended one node at a time
+    # sz[i][j]: compound size of seq[i..j], extended one node at a time;
+    # szc and bestc are the column copies, szc[j][i] = sz[i][j]
     sz = [[0] * n for _ in range(n)]
+    szc = [[0] * n for _ in range(n)]
     for i in range(n):
-        sz[i][i] = tsize[i]
+        sz_i = sz[i]
+        sz_i[i] = szc[i][i] = tsize[i]
         for j in range(i + 1, n):
             shared = 1
             for p, s in adj[j]:
                 if i <= p < j:
                     shared *= s
-            sz[i][j] = sz[i][j - 1] * tsize[j] // (shared * shared)
+            sz_i[j] = szc[j][i] = sz_i[j - 1] * tsize[j] // (shared * shared)
 
     best = [[0] * n for _ in range(n)]
+    bestc = [[0] * n for _ in range(n)]
     split = [[0] * n for _ in range(n)]
     for length in range(2, n + 1):
         for i in range(n - length + 1):
             j = i + length - 1
-            sz_i, best_i = sz[i], best[i]
+            sz_i, best_i, szc_j, bestc_j = sz[i], best[i], szc[j], bestc[j]
             whole = sz_i[j]
-            cur = best[i + 1][j] + _split_cost(sz_i[i], sz[i + 1][j], whole)
+            cur = bestc_j[i + 1] + _split_cost(sz_i[i], szc_j[i + 1], whole)
             at = i
             for k in range(i + 1, j):
-                left, right = sz_i[k], sz[k + 1][j]
-                part = best_i[k] + best[k + 1][j]
+                part = best_i[k] + bestc_j[k + 1]
+                if part >= cur:
+                    continue  # a split costs at least 1
                 gap = cur - part
-                if gap <= left or gap <= right or left * right * whole >= gap * gap:
-                    continue  # cost >= max(left, right), cost^2 = left*right*whole
+                left, right = sz_i[k], szc_j[k + 1]
+                if left * right * whole >= gap * gap:
+                    continue  # cost^2 = left * right * whole
                 cur = part + _split_cost(left, right, whole)
                 at = k
-            best[i][j] = cur
+            best_i[j] = bestc_j[i] = cur
             split[i][j] = at
 
     def build(i: int, j: int) -> TreeNode:

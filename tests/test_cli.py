@@ -219,6 +219,25 @@ def test_order_lin_dp_size_bound_exit_code(tmp_path, capsys):
     assert f"network has {n} nodes" in capsys.readouterr().err
 
 
+def test_order_lin_dp_refuses_before_the_base_order(tmp_path, capsys, monkeypatch):
+    # the default base order is mst-iks's, which takes 15 s on a
+    # 20,000-node path; an oversized network never reaches it
+    from tnorder import heuristics
+
+    def no_base_order(net):
+        raise AssertionError("base order computed for a refused network")
+
+    monkeypatch.setattr(heuristics, "order_arbitrary", no_base_order)
+    n = LIN_DP_MAX_NODES + 1
+    net_file = tmp_path / "big.json"
+    net_file.write_text(generate_random_tree_network(n, 0).to_json())
+    code = main(["order", "--algorithm", "lin-dp", "--network", str(net_file)])
+    assert code == 3
+    assert capsys.readouterr().err.endswith(
+        f"network has {n} nodes; the interval DP is bounded at {LIN_DP_MAX_NODES}\n"
+    )
+
+
 def test_order_dp_linear_subset_bound_exit_code(tmp_path, capsys):
     # 26 nodes pass the node bound, but a star has 2^25 + 25 connected
     # subsets: refused before any work, where the DP would run for hours

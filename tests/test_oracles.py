@@ -422,6 +422,40 @@ def test_pruned_dps_match_unpruned_recurrences(seed, n, dim_hi, extra):
     assert dp_general_optimal(net) == _ref_dp_general(net)
 
 
+def _connected_order(rng, net):
+    """A random order whose every prefix is connected."""
+    order = [rng.choice(net.nodes)]
+    seen = set(order)
+    frontier = list(net.adjacency[order[0]])
+    while frontier:
+        v = frontier.pop(rng.randrange(len(frontier)))
+        if v in seen:
+            continue
+        seen.add(v)
+        order.append(v)
+        frontier.extend(u for u in net.adjacency[v] if u not in seen)
+    return order
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(10, 48),
+    st.sampled_from([2, 10**20]),
+    st.integers(0, 6),
+    st.booleans(),
+)
+def test_lin_dp_matches_the_unpruned_recurrence_at_larger_n(seed, n, dim_hi, extra, shuffled):
+    # lin-dp alone, past dp-general's reach: intervals with many splits read
+    # the row and column tables far from the diagonal; dims {1, 2} tie often
+    rng = random.Random(seed)
+    net = _tie_heavy_network(rng, n, dim_hi, extra)
+    order = list(net.nodes) if shuffled else _connected_order(rng, net)
+    if shuffled:
+        rng.shuffle(order)
+    assert linearized_dp(net, order) == _ref_linearized_dp(net, tuple(order))
+
+
 def _count_split_costs(monkeypatch):
     calls = [0]
     priced = oracles._split_cost
