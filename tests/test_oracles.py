@@ -25,6 +25,7 @@ from helpers import (
     min_linear_cost,
     min_tree_cost,
     naive_tree,
+    random_precedence_order,
     random_tree_data,
     shaped_tree,
     to_network,
@@ -422,21 +423,6 @@ def test_pruned_dps_match_unpruned_recurrences(seed, n, dim_hi, extra):
     assert dp_general_optimal(net) == _ref_dp_general(net)
 
 
-def _connected_order(rng, net):
-    """A random order whose every prefix is connected."""
-    order = [rng.choice(net.nodes)]
-    seen = set(order)
-    frontier = list(net.adjacency[order[0]])
-    while frontier:
-        v = frontier.pop(rng.randrange(len(frontier)))
-        if v in seen:
-            continue
-        seen.add(v)
-        order.append(v)
-        frontier.extend(u for u in net.adjacency[v] if u not in seen)
-    return order
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -445,14 +431,18 @@ def _connected_order(rng, net):
     st.integers(0, 6),
     st.booleans(),
 )
-def test_lin_dp_matches_the_unpruned_recurrence_at_larger_n(seed, n, dim_hi, extra, shuffled):
+def test_lin_dp_matches_the_unpruned_recurrence_at_larger_n(
+    seed, n, dim_hi, extra, shuffled
+):
     # lin-dp alone, past dp-general's reach: intervals with many splits read
     # the row and column tables far from the diagonal; dims {1, 2} tie often
     rng = random.Random(seed)
     net = _tie_heavy_network(rng, n, dim_hi, extra)
-    order = list(net.nodes) if shuffled else _connected_order(rng, net)
     if shuffled:
+        order = list(net.nodes)
         rng.shuffle(order)
+    else:  # every prefix connected
+        order = random_precedence_order(rng, net.nodes, net.edges, rng.choice(net.nodes))
     assert linearized_dp(net, order) == _ref_linearized_dp(net, tuple(order))
 
 
