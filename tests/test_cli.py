@@ -369,6 +369,42 @@ def test_order_mst_iks_trace_is_one_pass(tmp_path, capsys, monkeypatch):
     assert len(lines) <= 2 * len(nodes) + 2
 
 
+
+@pytest.mark.parametrize("loopy", [False, True])
+def test_order_mst_iks_traced_and_untraced_agree(loopy, tmp_path, capsys):
+    # on a tree and on a network with chords: the same cost and plan bytes
+    # with and without --trace, and both are order_arbitrary's result
+    rng = random.Random(41)
+    if loopy:
+        net = to_network(*random_connected_data(rng, 30, 6, open_hi=3))
+    else:
+        net = generate_random_tree_network(30, 41)
+    net_file, plan_file = tmp_path / "net.json", tmp_path / "plan.json"
+    net_file.write_text(net.to_json())
+    argv = ["order", "--algorithm", "mst-iks", "--network", str(net_file),
+            "-o", str(plan_file)]
+    runs = []
+    for extra in ([], ["--trace"]):
+        assert main(argv + extra) == 0
+        runs.append((capsys.readouterr().out, plan_file.read_bytes()))
+    order, cost = order_arbitrary(net)
+    expected = (f"{cost}\n", (LinearPlan(order).to_json() + "\n").encode())
+    assert runs == [expected, expected]
+
+
+@pytest.mark.parametrize("algorithm", ["iks", "dp-linear", "dp-general", "lin-dp", "mst-iks"])
+def test_order_one_node_network(algorithm, tmp_path, capsys):
+    net_file, plan_file = tmp_path / "one.json", tmp_path / "plan.json"
+    net_file.write_text(TensorNetwork({"x": 3}, []).to_json())
+    assert main(["order", "--algorithm", algorithm, "--network", str(net_file),
+                 "-o", str(plan_file)]) == 0
+    assert capsys.readouterr().out == "0\n"
+    tree = algorithm in ("dp-general", "lin-dp")
+    plan = TreePlan("x") if tree else LinearPlan(("x",))
+    assert plan_file.read_text() == plan.to_json() + "\n"
+    assert main(["cost", "--network", str(net_file), "--plan", str(plan_file)]) == 0
+    assert capsys.readouterr().out == "0\n"
+
 def test_order_trace_costs_match_each_rooting(tmp_path, capsys):
     net_file = tmp_path / "net.json"
     for nodes, edges in small_trees():

@@ -1,6 +1,11 @@
+import hashlib
+import random
+
 import pytest
 
 from tnorder import ValidationError, generate_random_tree_network
+from tnorder.generate import _decode_label_sequence
+from helpers import prufer_tree
 
 
 def test_deterministic_for_equal_arguments():
@@ -78,3 +83,30 @@ def test_all_three_node_trees_reachable():
 def test_edge_count_always_n_minus_one():
     for n in (2, 3, 7, 33):
         assert len(generate_random_tree_network(n, seed=5).edges) == n - 1
+
+
+# sha256 of to_json() per (n, seed[, dim_lo, dim_hi]): the generator's
+# bytes are a pure function of its arguments and must not drift
+GENERATOR_DIGESTS = {
+    (2, 0): "f3c1cffbe70a1b622ec5f1a3017128b09c9d0d288040f35b7b0f7ff8c4c65a57",
+    (3, 1): "ee0790e6566204435be11c8e7fd55f0903b884f3792156bb65c3afcfa172682f",
+    (64, 7): "bbf4020014999a3c23f31b0b9667a6fcd03fe27ff7d52f7b5e2e80ab9726a957",
+    (1000, 3): "a4322feacf2f5f528ce8fc1faa5990d33a6d09f9842add556982e6cbe9c39a0e",
+    (4096, 5, 1, 2): "7a2bdc5b35e608edb8321766f85cbc6c3d8240a5c09a3fb706785616f9b48a00",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GENERATOR_DIGESTS))
+def test_generator_bytes_are_pinned(args):
+    text = generate_random_tree_network(*args).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGESTS[args]
+
+
+def test_decoder_matches_the_reference_decode():
+    # the same edges, in the same order and orientation, as the quadratic
+    # textbook decode in tests/helpers.py
+    rng = random.Random(20)
+    for _ in range(2000):
+        n = rng.randint(2, 60)
+        seq = [rng.randrange(n) for _ in range(n - 2)]
+        assert _decode_label_sequence(seq, n) == prufer_tree(seq, n)

@@ -50,6 +50,12 @@ def test_tree_plan_json_matches_json_dumps():
         assert TreePlan(root).to_json() == json.dumps({"type": "tree", "root": root})
 
 
+
+def test_tree_plan_dump_escapes_ids_as_json_dumps():
+    for root in (("T\u00df", "T\u2603"), (("T\u2603", 3), ("T\u00df", -7)), (1, 2)):
+        assert TreePlan(root).to_json() == json.dumps({"type": "tree", "root": root})
+
+
 def _deep_trees(n):
     """Left-deep and right-deep pair trees over T0..T{n-1}, with the
     JSON text json.dumps would write for each, built without recursion."""
