@@ -55,10 +55,18 @@ def _cmd_order(args: argparse.Namespace) -> int:
         print("note: --trace applies to iks and mst-iks only", file=sys.stderr)
 
     plan: LinearPlan | TreePlan
-    if algorithm == "iks":
+    if algorithm in ("iks", "mst-iks"):
         from .iks import _traced_order, iks_order
 
-        order, cost = _traced_order(net, sys.stderr) if args.trace else iks_order(net)
+        tree = net
+        if algorithm == "mst-iks":
+            from .cost import evaluate_linear
+            from .heuristics import max_spanning_tree
+
+            tree = max_spanning_tree(net)  # a tree comes back unchanged
+        order, cost = _traced_order(tree, sys.stderr) if args.trace else iks_order(tree)
+        if tree is not net:  # priced on the network, as order_arbitrary does
+            cost = evaluate_linear(net, order).cost
         plan = LinearPlan(order)
     elif algorithm == "dp-linear":
         from .oracles import dp_linear_optimal
@@ -70,7 +78,7 @@ def _cmd_order(args: argparse.Namespace) -> int:
 
         tree, cost = dp_general_optimal(net)
         plan = TreePlan(tree)
-    elif algorithm == "lin-dp":
+    else:  # lin-dp
         from .heuristics import order_arbitrary
         from .oracles import _check_bound, linearized_dp
         from .plans import parse_plan
@@ -85,19 +93,6 @@ def _cmd_order(args: argparse.Namespace) -> int:
             base_order, _ = order_arbitrary(net)
         tree, cost = linearized_dp(net, base_order)
         plan = TreePlan(tree)
-    else:  # mst-iks
-        from .heuristics import max_spanning_tree, order_arbitrary
-
-        if args.trace:
-            from .cost import evaluate_linear
-            from .iks import _traced_order
-
-            # order_arbitrary's steps, with the iks pass traced
-            order, _ = _traced_order(max_spanning_tree(net), sys.stderr)
-            cost = evaluate_linear(net, order).cost
-        else:
-            order, cost = order_arbitrary(net)
-        plan = LinearPlan(order)
 
     _write(args.output, plan.to_json() + "\n")
     print(cost)

@@ -2,7 +2,7 @@
 
 A uniformly random labeled tree is drawn by sampling a random sequence of
 n-2 node labels and decoding it with the standard bijection between such
-sequences and labeled trees (linear-time pointer decode). Edge sizes are
+sequences and labeled trees (a heap of the current leaves). Edge sizes are
 then drawn independently and uniformly from [dim_lo, dim_hi], in edge
 order. Every draw comes from one ``random.Random(seed)``, so the network
 (and its serialized form) is a pure function of the arguments.
@@ -10,6 +10,7 @@ order. Every draw comes from one ``random.Random(seed)``, so the network
 
 from __future__ import annotations
 
+import heapq
 import random
 
 from .network import TensorNetwork, ValidationError
@@ -20,29 +21,22 @@ __all__ = ["generate_random_tree_network"]
 def _decode_label_sequence(seq: list[int], n: int) -> list[tuple[int, int]]:
     """Decode a length n-2 label sequence into the edges of its tree.
 
-    Maintains the smallest-leaf pointer so the whole decode is linear:
-    each step attaches the current smallest leaf to the next sequence
-    label, then retires that label if it just became a leaf itself.
+    The current leaves are kept in a heap: each step attaches the
+    smallest leaf to the next sequence label, which becomes a leaf once
+    it has no later occurrence. The last two leaves are the smallest
+    left and n - 1. O(n log n).
     """
     degree = [1] * n
     for x in seq:
         degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]  # sorted, so a heap
     edges = []
-    ptr = 0
-    while degree[ptr] != 1:
-        ptr += 1
-    leaf = ptr
     for x in seq:
-        edges.append((leaf, x))
+        edges.append((heapq.heappop(leaves), x))
         degree[x] -= 1
-        if degree[x] == 1 and x < ptr:
-            leaf = x
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    edges.append((leaf, n - 1))
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((leaves[0], n - 1))
     return edges
 
 

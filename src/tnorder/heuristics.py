@@ -46,16 +46,12 @@ def max_spanning_tree(net: TensorNetwork) -> TensorNetwork:
         return v
 
     kept = [False] * len(edges)
-    left = len(net.nodes) - 1
     for i in ranked:
         u, v, _size = edges[i]
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
             kept[i] = True
-            left -= 1
-            if not left:
-                break
 
     open_mult = dict(net.open_mult)
     tree_edges = []

@@ -155,20 +155,19 @@ def _merge_two(a: list[Entry], b: list[Entry]) -> list[Entry]:
 
 
 def merge_children(linearized: list[list[Entry]]) -> list[Entry]:
-    """Merge rank-sorted chains into one new rank-sorted chain.
+    """Merge rank-sorted chains into one rank-sorted chain.
 
     Ties in rank break on the smallest leading node id (its key). Leading
     ids are distinct, so the result is the one ordering of all entries by
-    (rank, leading id), whatever the order of the input chains.
+    (rank, leading id), whatever the order of the input chains. May
+    return an input chain itself when it is the only non-empty one.
     """
     runs = [run for run in linearized if run]
-    if len(runs) < 2:
-        return list(runs[0]) if runs else []
     # merged in pairs, round by round: O(N log k) comparisons for k runs
     while len(runs) > 1:
         odd = runs[-1:] if len(runs) % 2 else []
         runs = [_merge_two(a, b) for a, b in zip(runs[::2], runs[1::2])] + odd
-    return runs[0]
+    return runs[0] if runs else []
 
 
 def _absorb(

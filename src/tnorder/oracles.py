@@ -5,7 +5,8 @@ over bitmask subsets, exponential in the node count. ``linearized_dp``
 upgrades a fixed linear order to the best contraction tree that keeps
 the same left-to-right leaf order, in O(n^3), the matrix-chain
 recurrence generalized to arbitrary networks. All three have hard size
-bounds, past which they raise ``SizeBoundError``.
+bounds, past which they raise ``SizeBoundError``. No size needs a case of
+its own: on one node each recurrence returns that node at cost 0.
 
 ``dp_linear_optimal`` grows connected subsets one node at a time; layer
 k holds those of k nodes. Only the layer being scanned and the layer
@@ -122,8 +123,6 @@ def dp_linear_optimal(
     _check_bound(net, "dp-linear")
     n = len(net.nodes)
     nodes = net.nodes
-    if n == 1:
-        return (nodes[0],), 0
     tsize, adj = _indexed(net, nodes)
     # per node: its neighbours as one bitmask, and (bit, edge size) each
     legs = [[(1 << k, s) for k, s in a] for a in adj]
@@ -244,8 +243,6 @@ def dp_general_optimal(
     _check_bound(net, "dp-general")
     n = len(net.nodes)
     nodes = net.nodes
-    if n == 1:
-        return nodes[0], 0
     size = _subset_sizes(net)
     full = (1 << n) - 1
 
@@ -317,8 +314,6 @@ def linearized_dp(
     else:
         seq = tuple(order)
     validate_plan(net, LinearPlan(seq))
-    if n == 1:
-        return seq[0], 0
     tsize, adj = _indexed(net, seq)
 
     # sz[i][j]: compound size of seq[i..j], extended one node at a time;

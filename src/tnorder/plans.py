@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import re
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Union
 
 from .network import _ID_TYPES, NodeId, TensorNetwork, ValidationError, _echo
@@ -110,8 +109,6 @@ class TreePlan(NamedTuple):
                 parts.append(", ")
             elif item is _CLOSE:
                 parts.append("]")
-            elif type(item) is str:
-                parts.append(encode_basestring_ascii(item))
             else:
                 parts.append(json.dumps(item))
         parts.append("}")
