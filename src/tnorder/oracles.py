@@ -17,7 +17,9 @@ the order is rebuilt by walking those back with ``bisect_left``. A
 mask's extensions are its members' neighbours, each visited once. Masks
 are scanned in ascending order and an entry is replaced only by a
 strictly smaller cost, so of a subset's equal-cost predecessors the
-lowest mask wins.
+lowest mask wins. Its subset bound is checked on a spanning tree before
+any work, exact on trees, and on the subsets built so far once per
+scanned mask, since a loopy network has more subsets than its trees.
 
 Bit positions follow the network's node order, so reconstructed plans are
 reproducible for equal input files. The subset DPs take an optional
@@ -117,8 +119,8 @@ def dp_linear_optimal(
     adjacent outside node, so outer products never enter the search
     space. Works on any connected network (not just trees) up to
     ``DP_LINEAR_MAX_NODES`` nodes and ``DP_LINEAR_MAX_SUBSETS`` connected
-    subsets, counted on a spanning tree before any work. Two layers of
-    subsets are live at a time (see the module docstring).
+    subsets, both checked as the module docstring says. Two layers of
+    subsets are live at a time.
     """
     _check_bound(net, "dp-linear")
     n = len(net.nodes)
@@ -133,10 +135,14 @@ def dp_linear_optimal(
     }
     masks = array("Q", sorted(layer))
     back: list[tuple[array, bytes]] = []  # layers 2..n: masks, last nodes
+    bound, seen = DP_LINEAR_MAX_SUBSETS, n  # seen: subsets of finished layers
     for _ in range(n - 1):
         grown: dict[int, tuple[int, int, int]] = {}
         for mask in masks:
             _check_deadline(deadline)
+            if seen + len(grown) > bound:  # never on trees, after _check_bound
+                raise SizeBoundError(f"network has more than {bound} connected "
+                                     f"subsets; the linear DP is bounded at {bound}")
             cost, size, _ = layer.pop(mask)
             reach, m = 0, mask
             while m:
@@ -158,6 +164,7 @@ def dp_linear_optimal(
                 old = grown.get(new_mask)
                 if old is None or cand < old[0]:
                     grown[new_mask] = (cand, step // shared, j)
+        seen += len(grown)
         layer = grown
         masks = array("Q", sorted(layer))
         back.append((masks, bytes(layer[m][2] for m in masks)))

@@ -200,6 +200,19 @@ def random_connected_data(rng: random.Random, n: int, extra: int, open_hi=1):
     return nodes, edges
 
 
+def ladder_data(layers: int):
+    """Layers {L2l, L2l+1}: each pair joined, and each node joined to both
+    nodes of the next layer; every edge has size 2. A loopy network whose
+    connected subsets far outnumber those of any of its spanning trees."""
+    ids = [f"L{i}" for i in range(2 * layers)]
+    edges = []
+    for a in range(0, 2 * layers, 2):
+        edges.append((ids[a], ids[a + 1], 2))
+        if a + 2 < 2 * layers:
+            edges += [(ids[x], ids[y], 2) for x in (a, a + 1) for y in (a + 2, a + 3)]
+    return dict.fromkeys(ids, 1), edges
+
+
 def random_precedence_order(rng: random.Random, nodes, edges, root):
     """Uniformly-ish random order consistent with rooting the tree at
     ``root``: repeatedly emit a random node all of whose tree ancestors

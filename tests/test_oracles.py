@@ -22,6 +22,7 @@ from tnorder.oracles import DP_GENERAL_MAX_NODES, DP_LINEAR_MAX_NODES, LIN_DP_MA
 from tnorder.plans import tree_leaves
 from helpers import (
     five_tensor_data,
+    ladder_data,
     min_linear_cost,
     min_tree_cost,
     naive_tree,
@@ -146,6 +147,27 @@ def _is_connected(net, members):
                 seen.add(u)
                 stack.append(u)
     return seen == inside
+
+
+def test_dp_linear_counts_the_subsets_it_builds(monkeypatch):
+    # off trees the spanning-tree count is a lower bound: a 16-node ladder
+    # counts 1,139 there but has 14,748 connected subsets, so the DP also
+    # counts the subsets it builds and stops once they pass the bound
+    net = to_network(*ladder_data(8))
+    assert oracles._tree_subset_count(net) == 1139
+    nodes = net.nodes
+    assert sum(
+        1
+        for mask in range(1, 1 << len(nodes))
+        if _is_connected(net, [v for i, v in enumerate(nodes) if mask >> i & 1])
+    ) == 14748
+    result = dp_linear_optimal(net)
+    monkeypatch.setattr(oracles, "DP_LINEAR_MAX_SUBSETS", 14748)
+    assert dp_linear_optimal(net) == result
+    monkeypatch.setattr(oracles, "DP_LINEAR_MAX_SUBSETS", 5000)
+    with pytest.raises(SizeBoundError, match="^network has more than 5000 connected "
+                       "subsets; the linear DP is bounded at 5000$"):
+        dp_linear_optimal(net)
 
 
 def test_dp_linear_deadline(five_tensor_net):
