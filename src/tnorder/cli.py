@@ -53,6 +53,8 @@ def _cmd_order(args: argparse.Namespace) -> int:
     algorithm = args.algorithm
     if args.trace and algorithm not in ("iks", "mst-iks"):
         print("note: --trace applies to iks and mst-iks only", file=sys.stderr)
+    if args.order is not None and algorithm != "lin-dp":
+        print("note: --order applies to lin-dp only", file=sys.stderr)
 
     plan: LinearPlan | TreePlan
     if algorithm in ("iks", "mst-iks"):

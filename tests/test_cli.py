@@ -273,6 +273,19 @@ def test_order_trace_note_for_other_algorithms(five_tensor_file, capsys):
     assert "--trace applies" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("algorithm", ["iks", "dp-linear", "dp-general", "mst-iks"])
+def test_order_note_for_other_algorithms(algorithm, five_tensor_file, tmp_path, capsys):
+    # --order sets lin-dp's base order; any other algorithm says it is unused
+    base_file = tmp_path / "base.json"
+    base_file.write_text(LinearPlan(("T3", "T4", "T2", "T5", "T1")).to_json())
+    argv = ["order", "--algorithm", algorithm, "--network", five_tensor_file]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main([*argv, "--order", str(base_file)]) == 0
+    assert capsys.readouterr() == (plain.out, "note: --order applies to lin-dp only\n")
+
+
 # `order --trace` stderr for the five-tensor fixture and for a tree with
 # open legs, whose chains keep several entries: one line per rooting in
 # the order the solver walks them, then the winning chain after its head
