@@ -19,8 +19,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .generate import generate_random_tree_network
 from .iks import iks_order
@@ -43,8 +42,7 @@ __all__ = [
 CSV_HEADER = ("algorithm", "n", "instance", "seed", "cost", "wall_time_us", "timed_out")
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     algorithm: str
     n: int
     instance: int
@@ -54,8 +52,7 @@ class BenchRecord:
     timed_out: bool
 
 
-@dataclass(frozen=True)
-class SizeSummary:
+class SizeSummary(NamedTuple):
     algorithm: str
     n: int
     runs: int

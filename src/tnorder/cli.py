@@ -3,8 +3,8 @@
 Subcommands: ``gen`` (random tree network), ``order`` (compute a plan),
 ``cost`` (price an existing plan), ``bench`` (timed sweeps to CSV).
 Exact costs go to stdout as decimal integers; diagnostics and traces go
-to stderr. Exit codes: 0 success, 2 validation error, 3 size bound
-exceeded.
+to stderr. Exit codes: 0 success, 2 validation error or an output that
+cannot be written (stdout too), 3 size bound exceeded.
 """
 
 from __future__ import annotations
@@ -28,14 +28,17 @@ def _read(path: str) -> str:
 
 
 def _write(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        try:
+    """Write ``text`` to the file ``path``, or to stdout if None."""
+    try:
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ValidationError(f"cannot write {path}: {exc}") from None
+    except OSError as exc:
+        where = "stdout" if path is None else path
+        raise ValidationError(f"cannot write {where}: {exc}") from None
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -97,7 +100,7 @@ def _cmd_order(args: argparse.Namespace) -> int:
         plan = TreePlan(tree)
 
     _write(args.output, plan.to_json() + "\n")
-    print(cost)
+    _write(None, f"{cost}\n")
     return 0
 
 
@@ -114,7 +117,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
         cost = report.cost
     else:
         cost = evaluate_tree(net, plan)
-    print(cost)
+    _write(None, f"{cost}\n")
     return 0
 
 
@@ -165,8 +168,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     _write(args.output, csv_text.getvalue())
     if args.chart is not None:
         _write(args.chart, render_chart(records))
-    summary_stream = sys.stderr if args.output is None else sys.stdout
-    print(format_summary(summarize(records)), file=summary_stream)
+    summary = format_summary(summarize(records)) + "\n"
+    if args.output is None:  # the CSV has stdout
+        sys.stderr.write(summary)
+    else:
+        _write(None, summary)
     return 0
 
 

@@ -43,14 +43,14 @@ returns.
 
 The chain of the subtree at v seen from its neighbour p depends only on
 the directed edge (v, p). The solver roots the tree once and builds
-every subtree chain bottom-up (``_upward_chains``), keeping at each
-internal node the merge of its children's chains. It then walks the
-tree top-down: the chain rooted at an internal node is a two-run merge
-of that kept merge and the chain from above, and each child's chain from
-above is that node absorbing the merge without the child's entries. So
-each directed edge is linearized at most once, 2(n - 1) in all. A leaf
-rooting is priced from its parent's rooting, without a chain of its own.
-The walk is one generator, ``_rootings``, and the only linearizer here:
+every subtree chain bottom-up, keeping at each internal node the merge
+of its children's chains. It then walks the tree top-down: the chain
+rooted at an internal node is a two-run merge of that kept merge and
+the chain from above, and each child's chain from above is that node
+absorbing the merge without the child's entries. So each directed
+edge is linearized at most once, 2(n - 1) in all. A leaf rooting is
+priced from its parent's rooting, without a chain of its own. Both
+passes are one generator, ``_rootings``, and the only linearizer here:
 ``iks_order`` keeps its cheapest rooting; ``_traced_order``, behind
 ``order --trace`` (also for ``mst-iks``, on its spanning tree), writes
 each one as it goes and returns the cheapest; and the per-root views
@@ -91,10 +91,6 @@ class SequenceEntry(NamedTuple):
     P: int
     Q: int
     Cn: int
-
-    def __repr__(self) -> str:
-        names = ",".join(str(v) for v in self.members)
-        return f"SequenceEntry(({names}), P={self.P}, Q={self.Q}, Cn={self.Cn})"
 
 
 def single_entry(pg: PrecedenceGraph, v: NodeId) -> SequenceEntry:
@@ -237,40 +233,6 @@ def _prefix_costs(size: int, entries: list[Entry]) -> list[int]:
     return costs
 
 
-def _upward_chains(
-    pg: PrecedenceGraph, deadline: float | None
-) -> tuple[
-    dict[NodeId, list[Entry]],
-    dict[NodeId, list[Entry]],
-    dict[NodeId, tuple[int, int, str]],
-]:
-    """One bottom-up pass: ``(up, below, keys)``, each keyed by node.
-
-    ``up[v]`` is the chain of the subtree at each non-root v: its merged
-    child chains, ``below[v]`` (kept for internal nodes only), with v
-    absorbing their head. A leaf's chain is its single entry. ``keys``
-    holds every node's ``id_key``. The optional ``deadline`` is checked
-    once per node.
-    """
-    F, w, children = pg.F, pg.w, pg.children
-    keys = {v: id_key(v) for v in pg.preorder}
-    up: dict[NodeId, list[Entry]] = {}
-    below: dict[NodeId, list[Entry]] = {}
-    for v in reversed(pg.preorder[1:]):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("deadline exceeded while building subtree chains")
-        kids = children[v]
-        Fv, wv = F[v], w[v]
-        if not kids:
-            up[v] = [(Fv, wv * wv, Fv * wv, keys[v], v, ())]
-            continue
-        # _absorb leaves its input as it is, so one child's chain is shared
-        merged = up[kids[0]] if len(kids) == 1 else merge_children([up[u] for u in kids])
-        below[v] = merged
-        up[v] = _absorb(v, keys[v], Fv, wv, merged)
-    return up, below, keys
-
-
 def _rootings(pg: PrecedenceGraph, deadline: float | None) -> Iterator[tuple]:
     """Every rooting of the tree behind ``pg``, priced in one walk, as a
     record ``(cost, root_key, head, entries, skip)``: the cheapest order
@@ -282,10 +244,28 @@ def _rootings(pg: PrecedenceGraph, deadline: float | None) -> Iterator[tuple]:
     ``deadline`` is as for ``iks_order``.
     """
     F, w, children, root = pg.F, pg.w, pg.children, pg.root
-    up, below, keys = _upward_chains(pg, deadline)
-    below[root] = merge_children([up[u] for u in children[root]])
-    # the chain from above of each node still to be rooted: the rest of
-    # the tree seen from it, empty at the root; leaves never get one
+    keys = {v: id_key(v) for v in pg.preorder}
+    # bottom-up: up[v] is the chain of the subtree at each non-root v, its
+    # merged child chains below[v] (internal nodes only) with v absorbing
+    # their head; a leaf's chain is its single entry
+    up: dict[NodeId, list[Entry]] = {}
+    below: dict[NodeId, list[Entry]] = {root: []}
+    for v in reversed(pg.preorder):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("deadline exceeded while building subtree chains")
+        kids = children[v]
+        Fv, wv = F[v], w[v]
+        if not kids:
+            up[v] = [(Fv, wv * wv, Fv * wv, keys[v], v, ())]
+            continue
+        # _absorb leaves its input as it is, so one child's chain is shared
+        merged = up[kids[0]] if len(kids) == 1 else merge_children([up[u] for u in kids])
+        below[v] = merged
+        if v is not root:
+            up[v] = _absorb(v, keys[v], Fv, wv, merged)
+
+    # top-down: the chain from above of each node still to be rooted: the
+    # rest of the tree seen from it, empty at the root; leaves never get one
     down: dict[NodeId, list[Entry]] = {root: []}
     for v in pg.preorder:
         above = down.pop(v, None)

@@ -207,13 +207,6 @@ class TensorNetwork:
         # connected is an invariant, so the edge count alone decides
         return len(self.edges) == len(self.nodes) - 1
 
-    def tensor_size(self, v: NodeId) -> int:
-        """Full size of the single tensor ``v``: open legs times shared legs."""
-        # type first: True and 1.0 hash as 1, and [1] cannot be hashed
-        if type(v) not in _ID_TYPES or v not in self.sizes:
-            raise ValidationError(f"unknown node id {_echo(v)}")
-        return self.sizes[v]
-
     def to_json(self) -> str:
         """Canonical single-line JSON, stable across runs for equal networks."""
         obj = {
@@ -241,7 +234,7 @@ def parse_network(text: str) -> TensorNetwork:
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an int past the digit limit
         raise ValidationError(f"network is not valid JSON: {exc}") from None
     except RecursionError:
         raise ValidationError("network is nested too deeply to parse") from None

@@ -244,7 +244,7 @@ def parse_plan(text: str) -> ContractionPlan:
     """Parse a plan file; raises ``ValidationError`` on malformed input."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an int past the digit limit
         raise ValidationError(f"plan is not valid JSON: {exc}") from None
     except RecursionError:
         obj = _read_deep(text)

@@ -112,6 +112,42 @@ def test_bench_unwritable_output_is_a_validation_error(tmp_path, capsys, monkeyp
         assert not out.exists()
 
 
+def closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return os.fdopen(write_end, "w")
+
+
+STDOUT_SINKS = {
+    "closed-pipe": (closed_pipe, "[Errno 32] Broken pipe"),
+    "dev-full": (lambda: open("/dev/full", "w"), "[Errno 28] No space left on device"),
+}
+
+
+@pytest.mark.parametrize("sink", STDOUT_SINKS)
+@pytest.mark.parametrize("command", ["gen", "order", "order -o", "cost", "bench -o"])
+def test_unwritable_stdout_is_one_error_line(five_tensor_file, tmp_path, command, sink):
+    if sink == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full here")
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"type": "linear", "order": ["T4", "T3", "T2", "T5", "T1"]}')
+    order = ["order", "--algorithm", "iks", "--network", five_tensor_file]
+    argv = {
+        "gen": ["gen", "--n", "100"],
+        "order": order,
+        "order -o": [*order, "-o", str(tmp_path / "out.json")],
+        "cost": ["cost", "--network", five_tensor_file, "--plan", str(plan)],
+        "bench -o": ["bench", "--sizes", "5", "--instances", "1",
+                     "--algorithms", "iks", "-o", str(tmp_path / "b.csv")],
+    }[command]
+    opened, reason = STDOUT_SINKS[sink]
+    with opened() as stdout:
+        run = subprocess.run([sys.executable, "-m", "tnorder", *argv],
+                             stdout=stdout, stderr=subprocess.PIPE, text=True)
+    # no traceback, and nothing more when the interpreter flushes at exit
+    assert (run.returncode, run.stderr) == (2, f"error: cannot write stdout: {reason}\n")
+
+
 def test_gen_rejects_bad_n(capsys):
     assert main(["gen", "--n", "1"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -333,7 +369,7 @@ def test_order_trace_bytes_are_pinned(five_tensor_file, tmp_path, capsys):
 def test_order_trace_linearizes_each_root_once(five_tensor_file, capsys, monkeypatch):
     import tnorder.iks
 
-    calls = {"linearized_chain": [], "_upward_chains": []}
+    calls = {"linearized_chain": [], "_rootings": []}
     for name, seen in calls.items():
         real = getattr(tnorder.iks, name)
 
@@ -347,7 +383,7 @@ def test_order_trace_linearizes_each_root_once(five_tensor_file, capsys, monkeyp
     assert capsys.readouterr().err == FIVE_TENSOR_TRACE
     # the trace and the plan come from one rooting walk, which builds its
     # subtree chains once, rooted at the first node
-    assert calls == {"linearized_chain": [], "_upward_chains": ["T1"]}
+    assert calls == {"linearized_chain": [], "_rootings": ["T1"]}
 
 
 def test_order_mst_iks_trace_is_one_pass(tmp_path, capsys, monkeypatch):
@@ -365,7 +401,7 @@ def test_order_mst_iks_trace_is_one_pass(tmp_path, capsys, monkeypatch):
     out, plan = capsys.readouterr().out, plan_file.read_bytes()
     calls = {}
     for module, name in ((tnorder.heuristics, "max_spanning_tree"),
-                         (tnorder.iks, "_upward_chains")):
+                         (tnorder.iks, "_rootings")):
         real = getattr(module, name)
 
         def counted(*args, real=real, name=name):
@@ -375,7 +411,7 @@ def test_order_mst_iks_trace_is_one_pass(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(module, name, counted)
     assert main([*argv, "--trace"]) == 0
     traced = capsys.readouterr()
-    assert calls == {"max_spanning_tree": 1, "_upward_chains": 1}
+    assert calls == {"max_spanning_tree": 1, "_rootings": 1}
     assert (traced.out, plan_file.read_bytes()) == (out, plan)
     lines = [json.loads(line) for line in traced.err.splitlines()]
     assert sorted(line["root"] for line in lines if "root" in line) == sorted(nodes)

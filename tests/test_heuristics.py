@@ -32,8 +32,8 @@ def test_mst_folds_dropped_edge_into_both_endpoints():
     tree = max_spanning_tree(triangle())
     # the dropped a-b edge (size 2) becomes open legs on a and b
     assert tree.open_mult == {"a": 2, "b": 2, "c": 1}
-    assert tree.tensor_size("a") == 8
-    assert tree.tensor_size("b") == 6
+    assert tree.sizes["a"] == 8
+    assert tree.sizes["b"] == 6
 
 
 def test_mst_leaves_input_alone():

@@ -72,6 +72,17 @@ def test_importing_the_package_loads_no_submodule():
     assert run.stdout.strip() == "[]"
 
 
+def test_importing_bench_loads_no_dataclasses():
+    # its records are NamedTuples, as plans are
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tnorder.bench; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         tnorder.no_such_name

@@ -522,7 +522,7 @@ def _ref_dp_linear(net):
     if n == 1:
         return (nodes[0],), 0
     pos = {v: i for i, v in enumerate(nodes)}
-    tsize = [net.tensor_size(v) for v in nodes]
+    tsize = [net.sizes[v] for v in nodes]
     adj = [[(pos[u], s) for u, s in net.adjacency[v].items()] for v in nodes]
     best = {1 << i: (0, tsize[i], -1) for i in range(n)}
     frontier = sorted(best)
