@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 
 # each subcommand imports the modules it runs, so a call loads no others
@@ -37,6 +38,8 @@ def _write(path: str | None, text: str) -> None:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except OSError as exc:
+        if path is None:  # a failed flush keeps its bytes; the one at exit gets devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         where = "stdout" if path is None else path
         raise ValidationError(f"cannot write {where}: {exc}") from None
 

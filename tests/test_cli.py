@@ -124,9 +124,11 @@ STDOUT_SINKS = {
 }
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("sink", STDOUT_SINKS)
 @pytest.mark.parametrize("command", ["gen", "order", "order -o", "cost", "bench -o"])
-def test_unwritable_stdout_is_one_error_line(five_tensor_file, tmp_path, command, sink):
+def test_unwritable_stdout_is_one_error_line(five_tensor_file, tmp_path, command, sink,
+                                             buffered):
     if sink == "dev-full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full here")
     plan = tmp_path / "plan.json"
@@ -141,8 +143,12 @@ def test_unwritable_stdout_is_one_error_line(five_tensor_file, tmp_path, command
                      "--algorithms", "iks", "-o", str(tmp_path / "b.csv")],
     }[command]
     opened, reason = STDOUT_SINKS[sink]
+    # a buffered stdout fails at the flush and keeps its bytes for the one at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with opened() as stdout:
-        run = subprocess.run([sys.executable, "-m", "tnorder", *argv],
+        run = subprocess.run([sys.executable, "-m", "tnorder", *argv], env=env,
                              stdout=stdout, stderr=subprocess.PIPE, text=True)
     # no traceback, and nothing more when the interpreter flushes at exit
     assert (run.returncode, run.stderr) == (2, f"error: cannot write stdout: {reason}\n")
