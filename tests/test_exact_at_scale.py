@@ -137,11 +137,10 @@ def ledger_cases():
             yield key, "mst-iks", *random_connected_data(
                 random.Random(key), n, n // 8, open_hi=3
             ), None
-    # one seed each: the interval DP takes about 2 s at n = 256, and 8 s
-    # on a star (4 s on a spider), whose many disconnected intervals have
-    # huge sizes, so those two stop at 128
+    # one seed each: the interval DP is cubic, about 1 s per family at
+    # n = 256; a star's and a spider's disconnected intervals have huge sizes
     for family in TREE_FAMILIES:
-        for n in LIN_DP_SIZES if family not in ("star", "spider") else LIN_DP_SIZES[:2]:
+        for n in LIN_DP_SIZES:
             key = f"lin-dp/{family}/{n}/1"
             yield key, "lin-dp", *_tree_data(family, random.Random(key), n), None
     for n in LIN_DP_SIZES:
