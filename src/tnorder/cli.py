@@ -4,12 +4,13 @@ Subcommands: ``gen`` (random tree network), ``order`` (compute a plan),
 ``cost`` (price an existing plan), ``bench`` (timed sweeps to CSV).
 Exact costs go to stdout as decimal integers; diagnostics and traces go
 to stderr. Exit codes: 0 success, 2 validation error or an output that
-cannot be written (stdout too), 3 size bound exceeded.
+cannot be written (stdout and stderr too), 3 size bound exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import os
 import sys
@@ -28,8 +29,15 @@ def _read(path: str) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
+def _to_devnull(stream) -> None:
+    # a failed flush keeps its bytes; the flush at exit then writes them here
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def _write(path: str | None, text: str) -> None:
     """Write ``text`` to the file ``path``, or to stdout if None."""
+    if path is None and sys.stdout is None:  # file descriptor 1 closed at start
+        raise ValidationError("cannot write stdout: it is closed")
     try:
         if path is None:
             sys.stdout.write(text)
@@ -38,10 +46,28 @@ def _write(path: str | None, text: str) -> None:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except OSError as exc:
-        if path is None:  # a failed flush keeps its bytes; the one at exit gets devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if path is None:
+            _to_devnull(sys.stdout)
         where = "stdout" if path is None else path
         raise ValidationError(f"cannot write {where}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _stderr():
+    """Yield stderr; a write to it that fails raises ``ValidationError``."""
+    if sys.stderr is None:  # file descriptor 2 closed at start
+        raise ValidationError("cannot write stderr: it is closed")
+    try:
+        yield sys.stderr
+    except OSError as exc:
+        _to_devnull(sys.stderr)
+        raise ValidationError(f"cannot write stderr: {exc}") from None
+
+
+def _note(text: str) -> None:
+    with _stderr() as err:
+        err.write(text)
+        err.flush()
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -58,9 +84,9 @@ def _cmd_order(args: argparse.Namespace) -> int:
     net = parse_network(_read(args.network))
     algorithm = args.algorithm
     if args.trace and algorithm not in ("iks", "mst-iks"):
-        print("note: --trace applies to iks and mst-iks only", file=sys.stderr)
+        _note("note: --trace applies to iks and mst-iks only\n")
     if args.order is not None and algorithm != "lin-dp":
-        print("note: --order applies to lin-dp only", file=sys.stderr)
+        _note("note: --order applies to lin-dp only\n")
 
     plan: LinearPlan | TreePlan
     if algorithm in ("iks", "mst-iks"):
@@ -72,7 +98,11 @@ def _cmd_order(args: argparse.Namespace) -> int:
             from .heuristics import max_spanning_tree
 
             tree = max_spanning_tree(net)  # a tree comes back unchanged
-        order, cost = _traced_order(tree, sys.stderr) if args.trace else iks_order(tree)
+        if args.trace:
+            with _stderr() as err:
+                order, cost = _traced_order(tree, err)
+        else:
+            order, cost = iks_order(tree)
         if tree is not net:  # priced on the network, as order_arbitrary does
             cost = evaluate_linear(net, order).cost
         plan = LinearPlan(order)
@@ -116,7 +146,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     if isinstance(plan, LinearPlan):
         report = evaluate_linear(net, plan)
         if not report.outer_product_free:
-            print("note: plan contains outer products", file=sys.stderr)
+            _note("note: plan contains outer products\n")
         cost = report.cost
     else:
         cost = evaluate_tree(net, plan)
@@ -173,7 +203,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         _write(args.chart, render_chart(records))
     summary = format_summary(summarize(records)) + "\n"
     if args.output is None:  # the CSV has stdout
-        sys.stderr.write(summary)
+        _note(summary)
     else:
         _write(None, summary)
     return 0
@@ -243,11 +273,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except SizeBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, 3)
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
+
+
+def _fail(exc: Exception, code: int) -> int:
+    """Report ``exc`` on stderr where it can be written; return ``code``."""
+    try:
+        with _stderr() as err:
+            print(f"error: {exc}", file=err)
+    except ValidationError:
+        pass  # stderr cannot be written: the exit code alone reports it
+    return code
 
 
 if __name__ == "__main__":

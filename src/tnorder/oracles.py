@@ -29,16 +29,20 @@ raising ``TimeoutError`` so a partial table is discarded cleanly.
 The split loops of ``dp_general_optimal`` and ``linearized_dp`` price a
 split of S into halves A and B only when it can beat the best split found
 so far. Each split is tested in two steps, in exact integers. First the
-half-sum: a split costs at least 1, so with part = best(A) + best(B) it
-is skipped when part >= best so far, before any size is read. Then one
-square test: since |S| = |A| |B| / shared^2 for the legs A and B share,
-cost(A, B)^2 = |A| |B| |S|, and with gap = best so far - part the split is
-skipped when |A| |B| |S| >= gap^2. The bound cost(A, B) >= max(|A|, |B|)
-(shared divides both sizes) needs no test of its own: when gap > 0 it
-only skips splits with cost >= gap, which the square test skips too.
-Only a split that strictly wins takes an isqrt for its cost. The scan
-order and the strict comparison are those of pricing every split, so
-ties still go to the first minimum and plans are the same.
+half-sum: with shared >= 1 the product of the legs A and B share, a split
+costs |A| |B| / shared = |S| shared >= |S|, so with part = best(A) +
+best(B) it is skipped when part >= best so far - |S|, before any size is
+read; that threshold moves only when a split wins. Then one square test:
+since |S| = |A| |B| / shared^2, cost(A, B)^2 = |A| |B| |S|, and with gap =
+best so far - part the split is skipped when |A| |B| |S| >= gap^2. The
+bound cost(A, B) >= max(|A|, |B|) (shared divides both sizes) needs no
+test of its own: when gap > 0 it only skips splits with cost >= gap,
+which the square test skips too. Only a split that strictly wins takes
+an isqrt for its cost. ``linearized_dp`` starts each interval's scan from
+a seed split, priced first, that is often the winner, so few later splits
+pass the half-sum; ``dp_general_optimal`` starts from the first split it
+visits. Either way ties go to the first minimum in the order of pricing
+every split, so plans are those of the unpruned recurrences.
 """
 
 from __future__ import annotations
@@ -66,8 +70,9 @@ DP_LINEAR_MAX_NODES = 30
 DP_LINEAR_MAX_SUBSETS = 2**20
 DP_GENERAL_MAX_NODES = 16
 # O(n^3) over big integers, on the iks order: 0.3 s on a random 256-node
-# tree, 0.9 s on a 256-node path of 10^6 bonds, 4.5 s on a 384-node one
-# (Python 3.11, 2 cores)
+# tree, 0.4 s on a 256-node star and 1.2 s on a two-leg spider (dims 1-10,
+# open legs 1-5), 0.9 s on a 256-node path of 10^6 bonds, 2.8 s on a
+# 384-node one (Python 3.11, 2 cores)
 LIN_DP_MAX_NODES = 256
 
 
@@ -241,9 +246,10 @@ def dp_general_optimal(
     lowest bit of S and s descending over the proper submasks of S - low;
     the first minimum in that order wins ties. A partition is priced only
     if it can strictly win: it is skipped when best(S1) + best(S2) is at
-    least the best so far (a split costs at least 1), and else when
-    |S1| |S2| |S| >= gap^2, with gap the difference, since cost^2 =
-    |S1| |S2| |S|; that also covers cost >= max(|S1|, |S2|). A partition whose
+    least the best so far minus |S| (a split costs at least |S|), and else
+    when |S1| |S2| |S| >= gap^2, with gap the best so far minus that sum,
+    since cost^2 = |S1| |S2| |S|; that also covers cost >= max(|S1|,
+    |S2|). A partition whose
     halves share no edge is priced as an outer product; such splits do
     win occasionally, so nothing restricts the search to connected halves.
     """
@@ -268,19 +274,21 @@ def dp_general_optimal(
         sub = low | s
         rest = mask ^ sub
         cur = best[sub] + best[rest] + _split_cost(size[sub], size[rest], whole)
+        lim = cur - whole
         at = sub
         while s:
             s = (s - 1) & high
             sub = low | s
             rest = mask ^ sub
             part = best[sub] + best[rest]
-            if part >= cur:
-                continue  # a split costs at least 1
+            if part >= lim:
+                continue  # a split costs at least whole
             gap = cur - part
             left, right = size[sub], size[rest]
             if left * right * whole >= gap * gap:
                 continue  # cost^2 = left * right * whole
             cur = part + _split_cost(left, right, whole)
+            lim = cur - whole
             at = sub
         best[mask] = cur
         split[mask] = at
@@ -305,14 +313,19 @@ def linearized_dp(
     as outer products, so the recurrence is total for any permutation.
     The result never costs more than contracting ``order`` linearly.
 
-    Splits of [i, j] are scanned left to right and the first minimum wins
-    ties. A split at k is priced only if it can strictly win: it is skipped
-    when part = best[i][k] + best[k+1][j] is at least the best so far (a
-    split costs at least 1), and else when |left| |right| |whole| >= gap^2,
-    with gap the best so far minus part, since cost^2 = |left| |right|
-    |whole|; that also covers cost >= max(|left|, |right|). Column copies
-    of the size and cost tables let a scan read best[k+1][j] and
-    sz[k+1][j] as one-level subscripts of column j.
+    Splits of [i, j] at k (halves [i, k] and [k+1, j]) keep the first
+    minimum over k. The scan is seeded with the winner s of [i, j-1] (i for
+    two nodes), priced exactly; the winners of neighbouring intervals are
+    often equal. Then two loops with no per-split branch: k < s starts from
+    the seed's cost + 1, so that a tie with the seed wins, and k > s from
+    the best so far with strict wins only. A split is priced only if it
+    can strictly win: it is skipped when part = best[i][k] + best[k+1][j]
+    is at least the best so far minus |whole| (a split costs at least
+    |whole|), and else when |left| |right| |whole| >= gap^2, with gap the
+    best so far minus part, since cost^2 = |left| |right| |whole|; that
+    also covers cost >= max(|left|, |right|). Shifted column copies of the
+    size and cost tables, nsz[j][k] = sz[k+1][j] and nbest[j][k] =
+    best[k+1][j], let a split read both halves at the same index k.
     """
     _check_bound(net, "lin-dp")
     n = len(net.nodes)
@@ -324,41 +337,54 @@ def linearized_dp(
     tsize, adj = _indexed(net, seq)
 
     # sz[i][j]: compound size of seq[i..j], extended one node at a time;
-    # szc and bestc are the column copies, szc[j][i] = sz[i][j]
+    # nsz and nbest are shifted column copies, nsz[j][k] = sz[k+1][j], so a
+    # split at k reads both halves at index k (i = 0 writes nsz[j][-1], a
+    # slot no split reads)
     sz = [[0] * n for _ in range(n)]
-    szc = [[0] * n for _ in range(n)]
+    nsz = [[0] * n for _ in range(n)]
     for i in range(n):
         sz_i = sz[i]
-        sz_i[i] = szc[i][i] = tsize[i]
+        sz_i[i] = nsz[i][i - 1] = tsize[i]
         for j in range(i + 1, n):
             shared = 1
             for p, s in adj[j]:
                 if i <= p < j:
                     shared *= s
-            sz_i[j] = szc[j][i] = sz_i[j - 1] * tsize[j] // (shared * shared)
+            sz_i[j] = nsz[j][i - 1] = sz_i[j - 1] * tsize[j] // (shared * shared)
 
     best = [[0] * n for _ in range(n)]
-    bestc = [[0] * n for _ in range(n)]
-    split = [[0] * n for _ in range(n)]
+    nbest = [[0] * n for _ in range(n)]
+    # split[i][i] = i, the seed of [i, i + 1]
+    split = [[i] * n for i in range(n)]
     for length in range(2, n + 1):
         for i in range(n - length + 1):
             j = i + length - 1
-            sz_i, best_i, szc_j, bestc_j = sz[i], best[i], szc[j], bestc[j]
+            sz_i, best_i, split_i = sz[i], best[i], split[i]
+            nsz_j, nbest_j = nsz[j], nbest[j]
             whole = sz_i[j]
-            cur = bestc_j[i + 1] + _split_cost(sz_i[i], szc_j[i + 1], whole)
-            at = i
-            for k in range(i + 1, j):
-                part = best_i[k] + bestc_j[k + 1]
-                if part >= cur:
-                    continue  # a split costs at least 1
-                gap = cur - part
-                left, right = sz_i[k], szc_j[k + 1]
-                if left * right * whole >= gap * gap:
-                    continue  # cost^2 = left * right * whole
-                cur = part + _split_cost(left, right, whole)
-                at = k
-            best_i[j] = bestc_j[i] = cur
-            split[i][j] = at
+            at = seed = split_i[j - 1]
+            top = best_i[seed] + nbest_j[seed] + _split_cost(
+                sz_i[seed], nsz_j[seed], whole
+            )
+            # left of the seed a tie with it wins, right of it only a strict
+            # win; after the left scan cur <= top unless nothing won
+            cur = top + 1
+            for ks in (range(i, seed), range(seed + 1, j)):
+                lim = cur - whole
+                for k in ks:
+                    part = best_i[k] + nbest_j[k]
+                    if part >= lim:
+                        continue  # a split costs at least whole
+                    gap = cur - part
+                    left, right = sz_i[k], nsz_j[k]
+                    if left * right * whole >= gap * gap:
+                        continue  # cost^2 = left * right * whole
+                    cur = part + _split_cost(left, right, whole)
+                    lim = cur - whole
+                    at = k
+                cur = min(cur, top)
+            best_i[j] = nbest[j][i - 1] = cur
+            split_i[j] = at
 
     def build(i: int, j: int) -> TreeNode:
         if i == j:

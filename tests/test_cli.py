@@ -154,6 +154,35 @@ def test_unwritable_stdout_is_one_error_line(five_tensor_file, tmp_path, command
     assert (run.returncode, run.stderr) == (2, f"error: cannot write stdout: {reason}\n")
 
 
+@pytest.mark.parametrize("command", ["gen", "order", "cost"])
+def test_closed_stdout_is_one_error_line(five_tensor_file, tmp_path, command):
+    # with file descriptor 1 closed, Python starts with sys.stdout None
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"type": "linear", "order": ["T4", "T3", "T2", "T5", "T1"]}')
+    argv = {
+        "gen": ["gen", "--n", "5"],
+        "order": ["order", "--algorithm", "iks", "--network", five_tensor_file],
+        "cost": ["cost", "--network", five_tensor_file, "--plan", str(plan)],
+    }[command]
+    run = subprocess.run([sys.executable, "-m", "tnorder", *argv],
+                         preexec_fn=lambda: os.close(1),
+                         stderr=subprocess.PIPE, text=True)
+    assert (run.returncode, run.stderr) == (2, "error: cannot write stdout: it is closed\n")
+
+
+@pytest.mark.parametrize("algorithm", ["iks", "mst-iks", "dp-linear"])
+def test_unwritable_stderr_under_trace_exits_2(five_tensor_file, algorithm):
+    # iks and mst-iks fail writing the trace, dp-linear writing its note; the
+    # error line cannot be written either, so the exit code is the report
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full here")
+    argv = ["order", "--algorithm", algorithm, "--trace", "--network", five_tensor_file]
+    with open("/dev/full", "w") as stderr:
+        run = subprocess.run([sys.executable, "-m", "tnorder", *argv],
+                             stdout=subprocess.PIPE, stderr=stderr, text=True)
+    assert (run.returncode, run.stdout) == (2, "")
+
+
 def test_gen_rejects_bad_n(capsys):
     assert main(["gen", "--n", "1"]) == 2
     assert "error:" in capsys.readouterr().err
