@@ -318,7 +318,8 @@ def linearized_dp(
     two nodes), priced exactly; the winners of neighbouring intervals are
     often equal. Then two loops with no per-split branch: k < s starts from
     the seed's cost + 1, so that a tie with the seed wins, and k > s from
-    the best so far with strict wins only. A split is priced only if it
+    the best so far (the seed's cost if no k < s won) with strict wins
+    only. A split is priced only if it
     can strictly win: it is skipped when part = best[i][k] + best[k+1][j]
     is at least the best so far minus |whole| (a split costs at least
     |whole|), and else when |left| |right| |whole| >= gap^2, with gap the
@@ -363,26 +364,38 @@ def linearized_dp(
             nsz_j, nbest_j = nsz[j], nbest[j]
             whole = sz_i[j]
             at = seed = split_i[j - 1]
-            top = best_i[seed] + nbest_j[seed] + _split_cost(
+            seed_cost = best_i[seed] + nbest_j[seed] + _split_cost(
                 sz_i[seed], nsz_j[seed], whole
             )
-            # left of the seed a tie with it wins, right of it only a strict
-            # win; after the left scan cur <= top unless nothing won
-            cur = top + 1
-            for ks in (range(i, seed), range(seed + 1, j)):
+            # left of the seed a tie with it wins, so the bar is its cost + 1
+            cur = seed_cost + 1
+            lim = cur - whole
+            for k in range(i, seed):
+                part = best_i[k] + nbest_j[k]
+                if part >= lim:
+                    continue  # a split costs at least whole
+                gap = cur - part
+                left, right = sz_i[k], nsz_j[k]
+                if left * right * whole >= gap * gap:
+                    continue  # cost^2 = left * right * whole
+                cur = part + _split_cost(left, right, whole)
                 lim = cur - whole
-                for k in ks:
-                    part = best_i[k] + nbest_j[k]
-                    if part >= lim:
-                        continue  # a split costs at least whole
-                    gap = cur - part
-                    left, right = sz_i[k], nsz_j[k]
-                    if left * right * whole >= gap * gap:
-                        continue  # cost^2 = left * right * whole
-                    cur = part + _split_cost(left, right, whole)
-                    lim = cur - whole
-                    at = k
-                cur = min(cur, top)
+                at = k
+            if at == seed:
+                cur = seed_cost
+                lim = cur - whole
+            # right of it only a strict win
+            for k in range(seed + 1, j):
+                part = best_i[k] + nbest_j[k]
+                if part >= lim:
+                    continue  # a split costs at least whole
+                gap = cur - part
+                left, right = sz_i[k], nsz_j[k]
+                if left * right * whole >= gap * gap:
+                    continue  # cost^2 = left * right * whole
+                cur = part + _split_cost(left, right, whole)
+                lim = cur - whole
+                at = k
             best_i[j] = nbest[j][i - 1] = cur
             split_i[j] = at
 
