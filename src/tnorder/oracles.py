@@ -248,10 +248,10 @@ def dp_general_optimal(
     if it can strictly win: it is skipped when best(S1) + best(S2) is at
     least the best so far minus |S| (a split costs at least |S|), and else
     when |S1| |S2| |S| >= gap^2, with gap the best so far minus that sum,
-    since cost^2 = |S1| |S2| |S|; that also covers cost >= max(|S1|,
-    |S2|). A partition whose
-    halves share no edge is priced as an outer product; such splits do
-    win occasionally, so nothing restricts the search to connected halves.
+    since cost^2 = |S1| |S2| |S|; that also covers cost >=
+    max(|S1|, |S2|). A partition whose halves share no edge is priced as
+    an outer product; such splits do win occasionally, so nothing
+    restricts the search to connected halves.
     """
     _check_bound(net, "dp-general")
     n = len(net.nodes)
@@ -319,14 +319,14 @@ def linearized_dp(
     often equal. Then two loops with no per-split branch: k < s starts from
     the seed's cost + 1, so that a tie with the seed wins, and k > s from
     the best so far (the seed's cost if no k < s won) with strict wins
-    only. A split is priced only if it
-    can strictly win: it is skipped when part = best[i][k] + best[k+1][j]
-    is at least the best so far minus |whole| (a split costs at least
-    |whole|), and else when |left| |right| |whole| >= gap^2, with gap the
-    best so far minus part, since cost^2 = |left| |right| |whole|; that
-    also covers cost >= max(|left|, |right|). Shifted column copies of the
-    size and cost tables, nsz[j][k] = sz[k+1][j] and nbest[j][k] =
-    best[k+1][j], let a split read both halves at the same index k.
+    only. A split is priced only if it can strictly win: it is skipped
+    when part = best[i][k] + best[k+1][j] is at least the best so far
+    minus |whole| (a split costs at least |whole|), and else when
+    |left| |right| |whole| >= gap^2, with gap the best so far minus part,
+    since cost^2 = |left| |right| |whole|; that also covers cost >=
+    max(|left|, |right|). Shifted column copies of the size and cost
+    tables, nsz[j][k] = sz[k+1][j] and nbest[j][k] = best[k+1][j], let a
+    split read both halves at the same index k.
     """
     _check_bound(net, "lin-dp")
     n = len(net.nodes)

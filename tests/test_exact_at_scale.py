@@ -137,8 +137,8 @@ def ledger_cases():
             yield key, "mst-iks", *random_connected_data(
                 random.Random(key), n, n // 8, open_hi=3
             ), None
-    # one seed each: the interval DP is cubic, about 1 s per family at
-    # n = 256; a star's and a spider's disconnected intervals have huge sizes
+    # one seed each: the interval DP is cubic, 0.4 to 2 s per family at
+    # n = 256
     for family in TREE_FAMILIES:
         for n in LIN_DP_SIZES:
             key = f"lin-dp/{family}/{n}/1"
