@@ -28,21 +28,28 @@ raising ``TimeoutError`` so a partial table is discarded cleanly.
 
 The split loops of ``dp_general_optimal`` and ``linearized_dp`` price a
 split of S into halves A and B only when it can beat the best split found
-so far. Each split is tested in two steps, in exact integers. First the
-half-sum: with shared >= 1 the product of the legs A and B share, a split
-costs |A| |B| / shared = |S| shared >= |S|, so with part = best(A) +
-best(B) it is skipped when part >= best so far - |S|, before any size is
-read; that threshold moves only when a split wins. Then one square test:
-since |S| = |A| |B| / shared^2, cost(A, B)^2 = |A| |B| |S|, and with gap =
-best so far - part the split is skipped when |A| |B| |S| >= gap^2. The
-bound cost(A, B) >= max(|A|, |B|) (shared divides both sizes) needs no
-test of its own: when gap > 0 it only skips splits with cost >= gap,
-which the square test skips too. Only a split that strictly wins takes
-an isqrt for its cost. ``linearized_dp`` starts each interval's scan from
-a seed split, priced first, that is often the winner, so few later splits
-pass the half-sum; ``dp_general_optimal`` starts from the first split it
-visits. Either way ties go to the first minimum in the order of pricing
-every split, so plans are those of the unpruned recurrences.
+so far. Each split is tested in three steps, each exact and each skipping
+only splits that cannot strictly win. First the half-sum: with
+shared >= 1 the product of the legs A and B share, a split costs |A| |B|
+/ shared = |S| shared >= |S|, so with part = best(A) + best(B) it is
+skipped when part >= best so far - |S|, before any size is read; that
+threshold moves only when a split wins. Then bit lengths: since |S| =
+|A| |B| / shared^2, cost(A, B)^2 = |A| |B| |S|, and with gap = best so
+far - part the split cannot win when |A| |B| |S| >= gap^2. A positive
+integer of b bits lies in [2^(b-1), 2^b), so with a, b, c and g the bit
+lengths of |A|, |B|, |S| and gap, |A| |B| |S| >= 2^(a+b+c-3) and gap^2 <
+2^(2g): the split is skipped when a + b + c - 3 >= 2g, from small
+integers held in tables, with no product formed. Last, on the splits
+those bits leave open, the square test itself: skipped when |A| |B| |S|
+>= gap^2. The bound cost(A, B) >= max(|A|, |B|) (shared divides both
+sizes) needs no test of its own: when gap > 0 it only skips splits with
+cost >= gap, which the square test skips too. Only a split that strictly
+wins takes an isqrt for its cost. ``linearized_dp`` starts each
+interval's scan from a seed split, priced first, that is often the
+winner, so few later splits pass the half-sum; ``dp_general_optimal``
+starts from the first split it visits. Either way ties go to the first
+minimum in the order of pricing every split, so plans are those of the
+unpruned recurrences.
 """
 
 from __future__ import annotations
@@ -245,11 +252,15 @@ def dp_general_optimal(
     nodes. Each partition is visited once, as S1 = low | s with low the
     lowest bit of S and s descending over the proper submasks of S - low;
     the first minimum in that order wins ties. A partition is priced only
-    if it can strictly win: it is skipped when best(S1) + best(S2) is at
-    least the best so far minus |S| (a split costs at least |S|), and else
-    when |S1| |S2| |S| >= gap^2, with gap the best so far minus that sum,
-    since cost^2 = |S1| |S2| |S|; that also covers cost >=
-    max(|S1|, |S2|). A partition whose halves share no edge is priced as
+    if it can strictly win, by the module docstring's three tests: it is
+    skipped when best(S1) + best(S2) is at least the best so far minus |S|
+    (a split costs at least |S|); else, with gap the best so far minus that
+    sum and a, b, c and g the bit lengths of |S1|, |S2|, |S| and gap, when
+    a + b + c - 3 >= 2g, read off ``bits``; else when |S1| |S2| |S| >=
+    gap^2, since cost^2 = |S1| |S2| |S|; that also covers cost >=
+    max(|S1|, |S2|). The bit test implies the square test, so the
+    partitions priced are those the square test alone would price. A
+    partition whose halves share no edge is priced as
     an outer product; such splits do win occasionally, so nothing
     restricts the search to connected halves.
     """
@@ -257,6 +268,7 @@ def dp_general_optimal(
     n = len(net.nodes)
     nodes = net.nodes
     size = _subset_sizes(net)
+    bits = [s.bit_length() for s in size]
     full = (1 << n) - 1
 
     best = [0] * (full + 1)
@@ -266,6 +278,7 @@ def dp_general_optimal(
             continue  # a lone tensor costs nothing
         _check_deadline(deadline)
         whole = size[mask]
+        wb = bits[mask] - 3
         low = mask & -mask
         high = mask ^ low
         # each partition is seen once, as the half holding the lowest bit:
@@ -284,6 +297,8 @@ def dp_general_optimal(
             if part >= lim:
                 continue  # a split costs at least whole
             gap = cur - part
+            if bits[sub] + bits[rest] + wb >= 2 * gap.bit_length():
+                continue  # left * right * whole >= 2^(2 bits of gap) > gap^2
             left, right = size[sub], size[rest]
             if left * right * whole >= gap * gap:
                 continue  # cost^2 = left * right * whole
@@ -319,14 +334,18 @@ def linearized_dp(
     often equal. Then two loops with no per-split branch: k < s starts from
     the seed's cost + 1, so that a tie with the seed wins, and k > s from
     the best so far (the seed's cost if no k < s won) with strict wins
-    only. A split is priced only if it can strictly win: it is skipped
-    when part = best[i][k] + best[k+1][j] is at least the best so far
-    minus |whole| (a split costs at least |whole|), and else when
-    |left| |right| |whole| >= gap^2, with gap the best so far minus part,
+    only. A split is priced only if it can strictly win, by the module
+    docstring's three tests: it is skipped when part = best[i][k] +
+    best[k+1][j] is at least the best so far minus |whole| (a split costs
+    at least |whole|); else, with gap the best so far minus part, when
+    bl[i][k] + bl[k+1][j] + bl[i][j] - 3 >= 2 gap.bit_length(), bl holding
+    the sizes' bit lengths; else when |left| |right| |whole| >= gap^2,
     since cost^2 = |left| |right| |whole|; that also covers cost >=
-    max(|left|, |right|). Shifted column copies of the size and cost
-    tables, nsz[j][k] = sz[k+1][j] and nbest[j][k] = best[k+1][j], let a
-    split read both halves at the same index k.
+    max(|left|, |right|). The bit test implies the square test, so the
+    splits priced are those the square test alone would price. Shifted
+    column copies of the size, bit-length and cost tables, nsz[j][k] =
+    sz[k+1][j], nbl[j][k] = bl[k+1][j] and nbest[j][k] = best[k+1][j], let
+    a split read both halves at the same index k.
     """
     _check_bound(net, "lin-dp")
     n = len(net.nodes)
@@ -337,21 +356,25 @@ def linearized_dp(
     validate_plan(net, LinearPlan(seq))
     tsize, adj = _indexed(net, seq)
 
-    # sz[i][j]: compound size of seq[i..j], extended one node at a time;
-    # nsz and nbest are shifted column copies, nsz[j][k] = sz[k+1][j], so a
-    # split at k reads both halves at index k (i = 0 writes nsz[j][-1], a
-    # slot no split reads)
+    # sz[i][j]: compound size of seq[i..j], extended one node at a time, and
+    # bl[i][j] its bit length; nsz, nbl and nbest are shifted column copies,
+    # nsz[j][k] = sz[k+1][j], so a split at k reads both halves at index k
+    # (i = 0 writes nsz[j][-1], a slot no split reads)
     sz = [[0] * n for _ in range(n)]
     nsz = [[0] * n for _ in range(n)]
+    bl = [[0] * n for _ in range(n)]
+    nbl = [[0] * n for _ in range(n)]
     for i in range(n):
-        sz_i = sz[i]
-        sz_i[i] = nsz[i][i - 1] = tsize[i]
+        sz_i, bl_i = sz[i], bl[i]
+        size = sz_i[i] = nsz[i][i - 1] = tsize[i]
+        bl_i[i] = nbl[i][i - 1] = size.bit_length()
         for j in range(i + 1, n):
             shared = 1
             for p, s in adj[j]:
                 if i <= p < j:
                     shared *= s
-            sz_i[j] = nsz[j][i - 1] = sz_i[j - 1] * tsize[j] // (shared * shared)
+            size = sz_i[j] = nsz[j][i - 1] = size * tsize[j] // (shared * shared)
+            bl_i[j] = nbl[j][i - 1] = size.bit_length()
 
     best = [[0] * n for _ in range(n)]
     nbest = [[0] * n for _ in range(n)]
@@ -360,9 +383,10 @@ def linearized_dp(
     for length in range(2, n + 1):
         for i in range(n - length + 1):
             j = i + length - 1
-            sz_i, best_i, split_i = sz[i], best[i], split[i]
-            nsz_j, nbest_j = nsz[j], nbest[j]
+            sz_i, bl_i, best_i, split_i = sz[i], bl[i], best[i], split[i]
+            nsz_j, nbl_j, nbest_j = nsz[j], nbl[j], nbest[j]
             whole = sz_i[j]
+            wb = bl_i[j] - 3
             at = seed = split_i[j - 1]
             seed_cost = best_i[seed] + nbest_j[seed] + _split_cost(
                 sz_i[seed], nsz_j[seed], whole
@@ -375,6 +399,8 @@ def linearized_dp(
                 if part >= lim:
                     continue  # a split costs at least whole
                 gap = cur - part
+                if bl_i[k] + nbl_j[k] + wb >= 2 * gap.bit_length():
+                    continue  # left * right * whole >= 2^(2 bits of gap) > gap^2
                 left, right = sz_i[k], nsz_j[k]
                 if left * right * whole >= gap * gap:
                     continue  # cost^2 = left * right * whole
@@ -390,6 +416,8 @@ def linearized_dp(
                 if part >= lim:
                     continue  # a split costs at least whole
                 gap = cur - part
+                if bl_i[k] + nbl_j[k] + wb >= 2 * gap.bit_length():
+                    continue  # left * right * whole >= 2^(2 bits of gap) > gap^2
                 left, right = sz_i[k], nsz_j[k]
                 if left * right * whole >= gap * gap:
                     continue  # cost^2 = left * right * whole

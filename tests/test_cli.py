@@ -118,6 +118,14 @@ def closed_pipe():
     return os.fdopen(write_end, "w")
 
 
+def _env(buffered):
+    """The caller's environment with PYTHONUNBUFFERED unset, or set to 1."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 STDOUT_SINKS = {
     "closed-pipe": (closed_pipe, "[Errno 32] Broken pipe"),
     "dev-full": (lambda: open("/dev/full", "w"), "[Errno 28] No space left on device"),
@@ -144,11 +152,8 @@ def test_unwritable_stdout_is_one_error_line(five_tensor_file, tmp_path, command
     }[command]
     opened, reason = STDOUT_SINKS[sink]
     # a buffered stdout fails at the flush and keeps its bytes for the one at exit
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if not buffered:
-        env["PYTHONUNBUFFERED"] = "1"
     with opened() as stdout:
-        run = subprocess.run([sys.executable, "-m", "tnorder", *argv], env=env,
+        run = subprocess.run([sys.executable, "-m", "tnorder", *argv], env=_env(buffered),
                              stdout=stdout, stderr=subprocess.PIPE, text=True)
     # no traceback, and nothing more when the interpreter flushes at exit
     assert (run.returncode, run.stderr) == (2, f"error: cannot write stdout: {reason}\n")
@@ -164,10 +169,12 @@ def test_closed_stdout_is_one_error_line(five_tensor_file, tmp_path, command):
         "order": ["order", "--algorithm", "iks", "--network", five_tensor_file],
         "cost": ["cost", "--network", five_tensor_file, "--plan", str(plan)],
     }[command]
-    run = subprocess.run([sys.executable, "-m", "tnorder", *argv],
-                         preexec_fn=lambda: os.close(1),
-                         stderr=subprocess.PIPE, text=True)
-    assert (run.returncode, run.stderr) == (2, "error: cannot write stdout: it is closed\n")
+    for buffered in (True, False):
+        run = subprocess.run([sys.executable, "-m", "tnorder", *argv], env=_env(buffered),
+                             preexec_fn=lambda: os.close(1),
+                             stderr=subprocess.PIPE, text=True)
+        assert (run.returncode, run.stderr) == (
+            2, "error: cannot write stdout: it is closed\n"), buffered
 
 
 @pytest.mark.parametrize("algorithm", ["iks", "mst-iks", "dp-linear"])
@@ -177,10 +184,12 @@ def test_unwritable_stderr_under_trace_exits_2(five_tensor_file, algorithm):
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full here")
     argv = ["order", "--algorithm", algorithm, "--trace", "--network", five_tensor_file]
-    with open("/dev/full", "w") as stderr:
-        run = subprocess.run([sys.executable, "-m", "tnorder", *argv],
-                             stdout=subprocess.PIPE, stderr=stderr, text=True)
-    assert (run.returncode, run.stdout) == (2, "")
+    for buffered in (True, False):
+        with open("/dev/full", "w") as stderr:
+            run = subprocess.run([sys.executable, "-m", "tnorder", *argv],
+                                 env=_env(buffered), stdout=subprocess.PIPE,
+                                 stderr=stderr, text=True)
+        assert (run.returncode, run.stdout) == (2, ""), buffered
 
 
 def test_gen_rejects_bad_n(capsys):

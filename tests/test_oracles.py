@@ -4,7 +4,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tnorder import (
     SizeBoundError,
@@ -408,13 +408,18 @@ def _ref_dp_general(net):
     return build(full), best[full]
 
 
-def _tie_heavy_network(rng, n, dim_hi, extra_edges):
+def _tie_heavy_network(rng, n, dim_hi, extra_edges, pow2=False):
     """Random tree plus loop edges; ids mixed int/str in shuffled order,
-    many size-1 edges and open legs so that split costs tie often."""
+    many size-1 edges and open legs so that split costs tie often. With
+    ``pow2`` every dim is 1, 2 or 4, so every size is a power of two and
+    sizes equal the lower bound 2^(bits - 1) that the DPs' bit-length test
+    takes for them."""
     ids = [i if rng.random() < 0.5 else f"t{i}" for i in range(n)]
     rng.shuffle(ids)
 
     def dim():
+        if pow2:
+            return rng.choice((1, 2, 4))
         return rng.choice((1, 1, 2, rng.randint(1, dim_hi)))
 
     nodes = {v: dim() for v in ids}
@@ -434,11 +439,15 @@ def _tie_heavy_network(rng, n, dim_hi, extra_edges):
     st.integers(1, 9),
     st.sampled_from([2, 3, 10, 10**20]),
     st.integers(0, 6),
+    st.booleans(),
 )
-def test_pruned_dps_match_unpruned_recurrences(seed, n, dim_hi, extra):
+# a bit-length test that takes sizes one bit larger than 2^(bits - 1) skips
+# dp-general's winner on this network
+@example(2141, 6, 3, 6, False)
+def test_pruned_dps_match_unpruned_recurrences(seed, n, dim_hi, extra, pow2):
     # trees, costs and tie-breaks are exactly those of pricing every split
     rng = random.Random(seed)
-    net = _tie_heavy_network(rng, n, dim_hi, extra)
+    net = _tie_heavy_network(rng, n, dim_hi, extra, pow2)
     order = list(net.nodes)
     rng.shuffle(order)  # any permutation, connected prefixes or not
     assert linearized_dp(net, order) == _ref_linearized_dp(net, tuple(order))
@@ -452,14 +461,15 @@ def test_pruned_dps_match_unpruned_recurrences(seed, n, dim_hi, extra):
     st.sampled_from([2, 10**20]),
     st.integers(0, 6),
     st.booleans(),
+    st.booleans(),
 )
 def test_lin_dp_matches_the_unpruned_recurrence_at_larger_n(
-    seed, n, dim_hi, extra, shuffled
+    seed, n, dim_hi, extra, shuffled, pow2
 ):
     # lin-dp alone, past dp-general's reach: intervals with many splits read
     # the row and column tables far from the diagonal; dims {1, 2} tie often
     rng = random.Random(seed)
-    net = _tie_heavy_network(rng, n, dim_hi, extra)
+    net = _tie_heavy_network(rng, n, dim_hi, extra, pow2)
     if shuffled:
         order = list(net.nodes)
         rng.shuffle(order)
