@@ -76,10 +76,11 @@ DP_LINEAR_MAX_NODES = 30
 # (Python 3.11, 2 cores)
 DP_LINEAR_MAX_SUBSETS = 2**20
 DP_GENERAL_MAX_NODES = 16
-# O(n^3) over big integers, on the iks order: 0.3 s on a random 256-node
-# tree, 0.4 s on a 256-node star and 1.2 s on a two-leg spider (dims 1-10,
-# open legs 1-5), 0.9 s on a 256-node path of 10^6 bonds, 2.8 s on a
-# 384-node one (Python 3.11, 2 cores)
+# O(n^3) over big integers, on the iks order: 0.5-0.6 s on a random 256-node
+# tree, 0.4 s on a 256-node star and 0.5 s on a two-leg spider (dims 1-10,
+# open legs 1-5), 0.7 s on a 256-node MPS path (open legs 2-4, bonds 2-10),
+# 0.9-1.1 s on a 256-node path of 10^6 bonds, 3.5-4.3 s on a 384-node one
+# (Python 3.11, 2 cores)
 LIN_DP_MAX_NODES = 256
 
 
