@@ -300,8 +300,8 @@ def test_order_lin_dp_size_bound_exit_code(tmp_path, capsys):
 
 
 def test_order_lin_dp_refuses_before_the_base_order(tmp_path, capsys, monkeypatch):
-    # the default base order is mst-iks's, which takes 15 s on a
-    # 20,000-node path; an oversized network never reaches it
+    # the default base order is mst-iks's, which takes 5.7 s on a
+    # 20,000-node path (2-core host); an oversized network never reaches it
     from tnorder import heuristics
 
     def no_base_order(net):
@@ -499,12 +499,14 @@ def test_order_one_node_network(algorithm, tmp_path, capsys):
     assert capsys.readouterr().out == "0\n"
 
 def test_order_trace_costs_match_each_rooting(tmp_path, capsys):
-    net_file = tmp_path / "net.json"
-    for nodes, edges in small_trees():
+    # fresh file names per tree: rewriting one file in place moments after
+    # its last rewrite can stall for tens of ms on some file systems
+    for i, (nodes, edges) in enumerate(small_trees()):
         net = to_network(nodes, edges)
+        net_file = tmp_path / f"net{i}.json"
         net_file.write_text(net.to_json())
         assert main(["order", "--algorithm", "iks", "--network", str(net_file),
-                     "-o", str(tmp_path / "plan.json"), "--trace"]) == 0
+                     "-o", str(tmp_path / f"plan{i}.json"), "--trace"]) == 0
         out, err = capsys.readouterr()
         lines = [json.loads(line) for line in err.splitlines()]
         traced = [(line["root"], line["cost"]) for line in lines if "root" in line]

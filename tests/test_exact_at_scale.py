@@ -1,17 +1,21 @@
 """Exact evidence for ``iks`` at sizes the subset DPs cannot reach.
 
-Three guards: ``dp_linear_optimal`` on a 19-node star (2^18 connected
+Four guards: ``dp_linear_optimal`` on a 19-node star (2^18 connected
 subsets, the most a tree of 19 nodes has), the O(n^2) path oracle in
 ``helpers``, which gives the optimum of paths with up to a thousand
 nodes, and ``plan_ledger.json``, which pins the plan bytes (as sha256)
 and the exact cost of ``iks`` on six tree families up to 2048 nodes, of
 ``mst-iks`` on loopy networks, of ``lin-dp`` on the iks order of those
 families and on a shuffled order of a dims {1, 2} tree up to 256 nodes,
-and of ``dp-general`` on loopy networks of 10 and 12 nodes. A change to
-the solvers that moves any plan byte or cost fails here.
+and of ``dp-general`` on loopy networks of 10 and 12 nodes. The fourth,
+``CLI_PINS``, holds the printed costs and plan-file digests of
+``tnorder order`` on seven instances, built as the CI workflow built them
+up to 389d1ee. A change to the solvers
+that moves any plan byte or cost fails here.
 
 Regenerate the ledger, only for a change that means to move a plan and
 explains why, with ``PYTHONPATH=src:tests python tests/test_exact_at_scale.py``.
+That leaves ``CLI_PINS`` as it is.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from helpers import (
     random_tree_data,
     shaped_tree,
 )
+from tnorder.cli import main
 
 # ------------------------------------------------------- subset DP, n = 19
 
@@ -186,6 +191,115 @@ def build_ledger() -> dict[str, dict[str, str]]:
 
 def test_plans_and_costs_match_the_ledger():
     assert build_ledger() == json.loads(LEDGER.read_text())
+
+
+# ------------------------------------------------------------- CLI pins
+
+
+def _gen(*args: str):
+    def build(path: Path) -> None:
+        assert main(["gen", *args, "-o", str(path)]) == 0
+
+    return build
+
+
+def _star_256(path: Path) -> None:
+    # a hub and 255 leaves: disconnected intervals with huge sizes and many
+    # near-equal splits, the interval DP's slowest tree shape
+    ids = ["H"] + [f"L{i}" for i in range(1, 256)]
+    path.write_text(json.dumps({
+        "nodes": [{"id": v, "open": 1 + i % 5} for i, v in enumerate(ids)],
+        "edges": [{"u": "H", "v": v, "size": 1 + (7 * i) % 10} for i, v in enumerate(ids) if i],
+    }))
+
+
+def _mps_256(path: Path) -> None:
+    # a seeded MPS path (open legs 2-4, bonds 2-10): the tree shape whose
+    # splits most often pass the half-sum and bit-length tests
+    rng, n = random.Random("mps/256"), 256
+    path.write_text(json.dumps({
+        "nodes": [{"id": f"T{i + 1}", "open": rng.randint(2, 4)} for i in range(n)],
+        "edges": [{"u": f"T{i + 1}", "v": f"T{i + 2}", "size": rng.randint(2, 10)}
+                  for i in range(n - 1)],
+    }))
+
+
+# (network file builder, order runs, printed cost, sha256 of each run's
+# plan file or None); the dims {1, 2} twin is where ranks tie often
+CLI_PINS = {
+    "gen-4096-5": (
+        _gen("--n", "4096", "--seed", "5"),
+        [["iks"], ["mst-iks"], ["mst-iks", "--trace"]],
+        "19851002",
+        "efbe768371149b7ecec0f94622095d8e4aa4fe717006a0eda61cf4e53f05f8fe",
+    ),
+    "gen-4096-5-dims-1-2": (
+        _gen("--n", "4096", "--seed", "5", "--dim-lo", "1", "--dim-hi", "2"),
+        [["iks"]],
+        "11424",
+        "a7ade340760eccca744669408b94861d509376fe67c2f083fdf746d28f1b5802",
+    ),
+    "gen-1024-5-trace": (
+        _gen("--n", "1024", "--seed", "5"),
+        [["iks", "--trace"]],
+        "4461603",
+        None,
+    ),
+    "gen-256-5-lin-dp": (
+        _gen("--n", "256", "--seed", "5"),
+        [["lin-dp"]],
+        "68924",
+        "398bf8dd8edb3414f3ad51226a0b7d83b33a09c1bb1d1ae3fbe5d7c406e4b508",
+    ),
+    "star-256-lin-dp": (
+        _star_256,
+        [["lin-dp"]],
+        "426147130801452588689993006301156835049566178220962710349069112974552066035825749885275352251808099429483299421485372815988684755365815523653729348018529688246284109892",
+        "3a99f62d5b39b22a5d1735d18e8b2e19065d4fcf8aa2f68755382f7d7f077e9e",
+    ),
+    "mps-256-lin-dp": (
+        _mps_256,
+        [["lin-dp"]],
+        "865474340830747459630256979096255690217722562834215137031640911053089719014005425421983346150642133395614745138815878",
+        "093701351672815fbf2e9c2e32262aa680de694ba20d8c80fc6af3e636fb6c0f",
+    ),
+    "gen-13-5-dp-general": (
+        _gen("--n", "13", "--seed", "5"),
+        [["dp-general"]],
+        "1719",
+        "298572fc414bbef113e00785bc5345003460a19c1af6fc1a6abbcdbb1dfc21e7",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CLI_PINS)
+def test_cli_plans_and_costs_match_their_pins(case, tmp_path, capsys):
+    """The CLI's printed cost and the sha256 of the plan file it writes
+    (trailing newline included), each copied verbatim from the inline
+    checks of .github/workflows/tests.yml at 389d1ee; ``cost`` of each plan
+    prints the same cost. Regenerating the ledger with
+    ``python tests/test_exact_at_scale.py`` neither writes nor reads these
+    pins. A change that moves one must explain why in CHANGES.md."""
+    build, runs, cost, digest = CLI_PINS[case]
+    net_file = tmp_path / "net.json"
+    build(net_file)
+    n = len(json.loads(net_file.read_text())["nodes"])
+    for i, (algorithm, *flags) in enumerate(runs):
+        plan_file = tmp_path / f"plan{i}.json"
+        assert main(["order", "--algorithm", algorithm, *flags,
+                     "--network", str(net_file), "-o", str(plan_file)]) == 0
+        out, err = capsys.readouterr()
+        assert out == f"{cost}\n"
+        if digest is not None:
+            assert hashlib.sha256(plan_file.read_bytes()).hexdigest() == digest
+        if "--trace" in flags:
+            # one JSON line per rooting and per winning chain entry
+            lines = err.splitlines()
+            assert len(lines) <= 2 * n + 2
+            for line in lines:
+                json.loads(line)
+        assert main(["cost", "--network", str(net_file), "--plan", str(plan_file)]) == 0
+        assert capsys.readouterr().out == f"{cost}\n"
 
 
 if __name__ == "__main__":
