@@ -75,6 +75,7 @@ def test_gen_writes_a_valid_network(tmp_path, capsys):
     assert net.nodes == tuple(f"T{i}" for i in range(1, 9))
     expected = generate_random_tree_network(8, 3)
     assert net.edges == expected.edges
+    assert out.read_text() == expected.to_json() + "\n"
 
 
 def test_gen_stdout_and_default_seed(capsys):

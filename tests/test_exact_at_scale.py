@@ -1,17 +1,17 @@
 """Exact evidence for ``iks`` at sizes the subset DPs cannot reach.
 
 Four guards: ``dp_linear_optimal`` on a 19-node star (2^18 connected
-subsets, the most a tree of 19 nodes has), the O(n^2) path oracle in
+subsets, the most a tree of 19 nodes has); the O(n^2) path oracle in
 ``helpers``, which gives the optimum of paths with up to a thousand
-nodes, and ``plan_ledger.json``, which pins the plan bytes (as sha256)
-and the exact cost of ``iks`` on six tree families up to 2048 nodes, of
+nodes; ``plan_ledger.json``, which pins the plan bytes (as sha256) and
+the exact cost of ``iks`` on six tree families up to 2048 nodes, of
 ``mst-iks`` on loopy networks, of ``lin-dp`` on the iks order of those
 families and on a shuffled order of a dims {1, 2} tree up to 256 nodes,
-and of ``dp-general`` on loopy networks of 10 and 12 nodes. The fourth,
-``CLI_PINS``, holds the printed costs and plan-file digests of
-``tnorder order`` on seven instances, built as the CI workflow built them
-up to 389d1ee. A change to the solvers
-that moves any plan byte or cost fails here.
+and of ``dp-general`` on loopy networks of 10 and 12 nodes; and
+``CLI_PINS``, which holds the printed costs and plan-file digests of
+``tnorder order`` on seven instances, built as the CI workflow built
+them up to 389d1ee. A change to the solvers that moves any plan byte or
+cost fails here.
 
 Regenerate the ledger, only for a change that means to move a plan and
 explains why, with ``PYTHONPATH=src:tests python tests/test_exact_at_scale.py``.
