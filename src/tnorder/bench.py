@@ -88,6 +88,8 @@ def run_benchmark(
     With the same seeds, repeated runs differ only in ``wall_time_us``
     (and, near the budget boundary, which runs time out).
     """
+    if not algorithms:
+        raise ValidationError("no benchmark algorithms given")
     for name in algorithms:
         if name not in BENCH_ALGORITHMS:
             known = ", ".join(sorted(BENCH_ALGORITHMS))

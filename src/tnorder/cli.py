@@ -4,7 +4,10 @@ Subcommands: ``gen`` (random tree network), ``order`` (compute a plan),
 ``cost`` (price an existing plan), ``bench`` (timed sweeps to CSV).
 Exact costs go to stdout as decimal integers; diagnostics and traces go
 to stderr. Exit codes: 0 success, 2 validation error or an output that
-cannot be written (stdout and stderr too), 3 size bound exceeded.
+cannot be written, 3 size bound exceeded. Every write to stdout or stderr
+goes through one guard, ``_std``, so a closed or failing standard stream
+is exit 2, never a traceback; a ``bench`` argument error leaves existing
+output files as they were.
 """
 
 from __future__ import annotations
@@ -29,45 +32,37 @@ def _read(path: str) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
-def _to_devnull(stream) -> None:
-    # a failed flush keeps its bytes; the flush at exit then writes them here
-    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
-
-
-def _write(path: str | None, text: str) -> None:
-    """Write ``text`` to the file ``path``, or to stdout if None."""
-    if path is None and sys.stdout is None:  # file descriptor 1 closed at start
-        raise ValidationError("cannot write stdout: it is closed")
-    try:
-        if path is None:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-    except OSError as exc:
-        if path is None:
-            _to_devnull(sys.stdout)
-        where = "stdout" if path is None else path
-        raise ValidationError(f"cannot write {where}: {exc}") from None
-
-
 @contextlib.contextmanager
-def _stderr():
-    """Yield stderr; a write to it that fails raises ``ValidationError``."""
-    if sys.stderr is None:  # file descriptor 2 closed at start
-        raise ValidationError("cannot write stderr: it is closed")
+def _std(name: str):
+    """Yield ``sys.stdout`` or ``sys.stderr`` by ``name`` and flush it after
+    the block; a stream closed at start or a failed write or flush raises
+    ``ValidationError``."""
+    stream = getattr(sys, name)
+    if stream is None:  # its file descriptor was closed at start
+        raise ValidationError(f"cannot write {name}: it is closed")
     try:
-        yield sys.stderr
+        yield stream
+        stream.flush()
     except OSError as exc:
-        _to_devnull(sys.stderr)
-        raise ValidationError(f"cannot write stderr: {exc}") from None
+        # a failed flush keeps its bytes; the flush at exit then writes them here
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        raise ValidationError(f"cannot write {name}: {exc}") from None
+
+
+def _write(path: str | None, text: str, mode: str = "w") -> None:
+    """Write ``text`` to the file ``path``, or to stdout if None."""
+    try:
+        with _std("stdout") if path is None else open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:  # the file's: _std reports stdout's itself
+        raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
 def _note(text: str) -> None:
-    with _stderr() as err:
+    with _std("stderr") as err:
         err.write(text)
-        err.flush()
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -99,7 +94,7 @@ def _cmd_order(args: argparse.Namespace) -> int:
 
             tree = max_spanning_tree(net)  # a tree comes back unchanged
         if args.trace:
-            with _stderr() as err:
+            with _std("stderr") as err:
                 order, cost = _traced_order(tree, err)
         else:
             order, cost = iks_order(tree)
@@ -183,10 +178,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     sizes = _parse_sizes(args.sizes)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    # create the outputs first, so a bad path fails now and not after the run
+    # open the outputs first, so a bad path fails now and not after the run;
+    # appending nothing leaves an existing file as it is if the run fails
     for path in (args.output, args.chart):
         if path is not None:
-            _write(path, "")
+            _write(path, "", "a")
     records = run_benchmark(
         sizes,
         args.instances,
@@ -281,12 +277,8 @@ def main(argv: list[str] | None = None) -> int:
 def _fail(exc: Exception, code: int) -> int:
     """Report ``exc`` on stderr where it can be written; return ``code``."""
     try:
-        with _stderr() as err:
+        with _std("stderr") as err:
             print(f"error: {exc}", file=err)
     except ValidationError:
         pass  # stderr cannot be written: the exit code alone reports it
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

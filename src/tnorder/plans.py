@@ -255,20 +255,17 @@ def parse_plan(text: str) -> ContractionPlan:
         order = obj.get("order")
         if not isinstance(order, list):
             raise ValidationError("linear plan must have an 'order' list")
-        return LinearPlan(tuple(_check_leaf(v) for v in order))
+        if not set(map(type, order)) <= _ID_TYPES:
+            bad = next(v for v in order if type(v) not in _ID_TYPES)
+            raise ValidationError(
+                f"plan node id must be an integer or string, got {_echo(bad)}"
+            )
+        return LinearPlan(tuple(order))
     if kind == "tree":
         if "root" not in obj:
             raise ValidationError("tree plan must have a 'root' field")
         return TreePlan(_tree_from_obj(obj["root"]))
     raise ValidationError(f"unknown plan type {_echo(kind)}")
-
-
-def _check_leaf(v) -> NodeId:
-    if type(v) is int or type(v) is str:
-        return v
-    raise ValidationError(
-        f"plan node id must be an integer or string, got {_echo(v)}"
-    )
 
 
 def validate_plan(net: TensorNetwork, plan: ContractionPlan) -> None:

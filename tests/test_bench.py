@@ -112,6 +112,8 @@ def test_instances_past_the_subset_bound_are_skipped():
 def test_argument_validation():
     with pytest.raises(ValidationError, match="unknown benchmark algorithm"):
         run_benchmark([5], 1, algorithms=["magic"])
+    with pytest.raises(ValidationError, match="no benchmark algorithms given"):
+        run_benchmark([5], 1, algorithms=[])
     with pytest.raises(ValidationError):
         run_benchmark([1], 1)
     with pytest.raises(ValidationError):

@@ -178,6 +178,28 @@ def test_closed_stdout_is_one_error_line(five_tensor_file, tmp_path, command):
             2, "error: cannot write stdout: it is closed\n"), buffered
 
 
+@pytest.mark.parametrize("command", ["order --trace", "order --order", "bench", "gen"])
+def test_closed_stderr_exits_2_when_written(five_tensor_file, command):
+    # with file descriptor 2 closed, Python starts with sys.stderr None: a
+    # call that writes stderr exits 2 and keeps what it printed before;
+    # one that does not write stderr is unaffected
+    order = ["order", "--algorithm", "iks", "--network", five_tensor_file]
+    argv, code, stdout = {
+        "order --trace": ([*order, "--trace"], 2, ""),
+        "order --order": ([*order, "--order", "x"], 2, ""),
+        # the CSV goes to stdout, then the summary fails on stderr
+        "bench": (["bench", "--sizes", "5", "--instances", "1", "--algorithms", "iks"], 2,
+                  "algorithm,n,instance,seed,cost,timed_out\niks,5,0,5000000,294,false\n"),
+        "gen": (["gen", "--n", "5"], 0, generate_random_tree_network(5, 0).to_json() + "\n"),
+    }[command]
+    for buffered in (True, False):
+        run = subprocess.run([sys.executable, "-m", "tnorder", *argv], env=_env(buffered),
+                             preexec_fn=lambda: os.close(2),
+                             stdout=subprocess.PIPE, text=True)
+        out = _cut_wall(run.stdout) if command == "bench" else run.stdout
+        assert (run.returncode, out) == (code, stdout), buffered
+
+
 @pytest.mark.parametrize("algorithm", ["iks", "mst-iks", "dp-linear"])
 def test_unwritable_stderr_under_trace_exits_2(five_tensor_file, algorithm):
     # iks and mst-iks fail writing the trace, dp-linear writing its note; the
@@ -867,14 +889,18 @@ iks,32,1,32000001,7290,false
 """
 
 
+def _cut_wall(csv_text):
+    """A bench CSV with its wall_time_us column cut out."""
+    wall = CSV_HEADER.index("wall_time_us")
+    rows = csv.reader(io.StringIO(csv_text))
+    return "".join(",".join(r[:wall] + r[wall + 1:]) + "\n" for r in rows)
+
+
 def test_bench_csv_is_pinned(capsys):
     code = main(["bench", "--sizes", "5:6,31:32", "--instances", "2",
                  "--algorithms", "dp-linear,iks"])
     assert code == 0
-    rows = csv.reader(io.StringIO(capsys.readouterr().out))
-    wall = CSV_HEADER.index("wall_time_us")
-    got = "".join(",".join(r[:wall] + r[wall + 1:]) + "\n" for r in rows)
-    assert got == PINNED_BENCH_ROWS
+    assert _cut_wall(capsys.readouterr().out) == PINNED_BENCH_ROWS
 
 
 def test_bench_size_list_parsing(capsys):
@@ -895,6 +921,36 @@ def test_bench_bad_sizes(capsys):
 def test_bench_unknown_algorithm(capsys):
     assert main(["bench", "--sizes", "5", "--algorithms", "magic"]) == 2
     assert "unknown benchmark algorithm" in capsys.readouterr().err
+
+
+def test_bench_empty_algorithm_list(capsys):
+    assert main(["bench", "--sizes", "4", "--algorithms", ""]) == 2
+    assert capsys.readouterr() == ("", "error: no benchmark algorithms given\n")
+
+
+# each a bench argument error; a later flag overrides the valid one before it
+BENCH_ARGUMENT_ERRORS = {
+    "unknown algorithm": ["--algorithms", "magic"],
+    "empty algorithm list": ["--algorithms", ""],
+    "no instances": ["--instances", "0"],
+    "negative timeout": ["--timeout-ms", "-1"],
+    "size 1": ["--sizes", "1"],
+    "dim-lo 0": ["--dim-lo", "0"],
+}
+
+
+@pytest.mark.parametrize("error", BENCH_ARGUMENT_ERRORS)
+def test_bench_argument_error_leaves_outputs_untouched(error, tmp_path, capsys):
+    csv_file, chart_file = tmp_path / "b.csv", tmp_path / "c.svg"
+    csv_file.write_bytes(b"an earlier CSV\n")
+    chart_file.write_bytes(b"<svg>an earlier chart</svg>\n")
+    code = main(["bench", "--sizes", "4", "--instances", "1", "--algorithms", "iks",
+                 *BENCH_ARGUMENT_ERRORS[error], "-o", str(csv_file),
+                 "--chart", str(chart_file)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert csv_file.read_bytes() == b"an earlier CSV\n"
+    assert chart_file.read_bytes() == b"<svg>an earlier chart</svg>\n"
 
 
 # ------------------------------------------------------------- entry point

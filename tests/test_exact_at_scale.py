@@ -10,8 +10,9 @@ families and on a shuffled order of a dims {1, 2} tree up to 256 nodes,
 and of ``dp-general`` on loopy networks of 10 and 12 nodes; and
 ``CLI_PINS``, which holds the printed costs and plan-file digests of
 ``tnorder order`` on seven instances, built as the CI workflow built
-them up to 389d1ee. A change to the solvers that moves any plan byte or
-cost fails here.
+them up to 389d1ee; the 256-node star and MPS path come from
+``instances.py``, which CI runs to build the files it times. A change to
+the solvers that moves any plan byte or cost fails here.
 
 Regenerate the ledger, only for a change that means to move a plan and
 explains why, with ``PYTHONPATH=src:tests python tests/test_exact_at_scale.py``.
@@ -48,6 +49,7 @@ from helpers import (
     shaped_tree,
 )
 from tnorder.cli import main
+import instances
 
 # ------------------------------------------------------- subset DP, n = 19
 
@@ -203,25 +205,11 @@ def _gen(*args: str):
     return build
 
 
-def _star_256(path: Path) -> None:
-    # a hub and 255 leaves: disconnected intervals with huge sizes and many
-    # near-equal splits, the interval DP's slowest tree shape
-    ids = ["H"] + [f"L{i}" for i in range(1, 256)]
-    path.write_text(json.dumps({
-        "nodes": [{"id": v, "open": 1 + i % 5} for i, v in enumerate(ids)],
-        "edges": [{"u": "H", "v": v, "size": 1 + (7 * i) % 10} for i, v in enumerate(ids) if i],
-    }))
+def _instance(name: str):
+    def build(path: Path) -> None:
+        instances.write(name, path)
 
-
-def _mps_256(path: Path) -> None:
-    # a seeded MPS path (open legs 2-4, bonds 2-10): the tree shape whose
-    # splits most often pass the half-sum and bit-length tests
-    rng, n = random.Random("mps/256"), 256
-    path.write_text(json.dumps({
-        "nodes": [{"id": f"T{i + 1}", "open": rng.randint(2, 4)} for i in range(n)],
-        "edges": [{"u": f"T{i + 1}", "v": f"T{i + 2}", "size": rng.randint(2, 10)}
-                  for i in range(n - 1)],
-    }))
+    return build
 
 
 # (network file builder, order runs, printed cost, sha256 of each run's
@@ -252,13 +240,13 @@ CLI_PINS = {
         "398bf8dd8edb3414f3ad51226a0b7d83b33a09c1bb1d1ae3fbe5d7c406e4b508",
     ),
     "star-256-lin-dp": (
-        _star_256,
+        _instance("star-256"),
         [["lin-dp"]],
         "426147130801452588689993006301156835049566178220962710349069112974552066035825749885275352251808099429483299421485372815988684755365815523653729348018529688246284109892",
         "3a99f62d5b39b22a5d1735d18e8b2e19065d4fcf8aa2f68755382f7d7f077e9e",
     ),
     "mps-256-lin-dp": (
-        _mps_256,
+        _instance("mps-256"),
         [["lin-dp"]],
         "865474340830747459630256979096255690217722562834215137031640911053089719014005425421983346150642133395614745138815878",
         "093701351672815fbf2e9c2e32262aa680de694ba20d8c80fc6af3e636fb6c0f",
