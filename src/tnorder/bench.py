@@ -90,12 +90,14 @@ def run_benchmark(
     """
     if not algorithms:
         raise ValidationError("no benchmark algorithms given")
-    for name in algorithms:
+    for i, name in enumerate(algorithms):
         if name not in BENCH_ALGORITHMS:
             known = ", ".join(sorted(BENCH_ALGORITHMS))
             raise ValidationError(
                 f"unknown benchmark algorithm {name!r}; choose from {known}"
             )
+        if name in algorithms[:i]:
+            raise ValidationError(f"benchmark algorithm {name!r} is listed twice")
     for n in sizes:
         if type(n) is not int or n < 2:
             raise ValidationError(f"benchmark sizes must be integers >= 2, got {n!r}")

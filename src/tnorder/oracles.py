@@ -10,16 +10,24 @@ its own: on one node each recurrence returns that node at cost 0.
 
 ``dp_linear_optimal`` grows connected subsets one node at a time; layer
 k holds those of k nodes. Only the layer being scanned and the layer
-being built are live, as ``mask -> (cost, prefix size, last node)``, and
-scanned entries are popped as they are read. A finished layer is kept as
-its sorted masks (``array('Q')``) and each mask's last node (``bytes``);
-the order is rebuilt by walking those back with ``bisect_left``. A
-mask's extensions are its members' neighbours, each visited once. Masks
-are scanned in ascending order and an entry is replaced only by a
-strictly smaller cost, so of a subset's equal-cost predecessors the
-lowest mask wins. Its subset bound is checked on a spanning tree before
-any work, exact on trees, and on the subsets built so far once per
-scanned mask, since a loopy network has more subsets than its trees.
+being built are live. A subset's state is one integer, from the top:
+the cost of its best order, its compound size, its reach (the mask of
+its members' neighbours, n bits) and its last node (5 bits, as n <= 30).
+The size field is as wide as the tensor sizes' bit lengths summed, since
+no compound size exceeds their product. A new subset's reach is its
+parent's OR the new node's neighbours, so no mask is walked bit by bit;
+its extensions are the reach's bits outside it, each visited once. The
+layer being built is a dict from mask to state. Once built it becomes
+its sorted masks (``array('I')``) and a list of their states in the same
+order; each state is read once, by index, and its slot then cleared. Of
+a finished layer only the masks and each mask's last node (``bytes``)
+are kept, and the order is rebuilt by walking those back with
+``bisect_left``. Masks are scanned in ascending order and an entry is
+replaced only when ``cand < old >> cs``, a strictly smaller cost, so of
+a subset's equal-cost predecessors the lowest mask wins. Its subset
+bound is checked on a spanning tree before any work, exact on trees,
+and on the subsets built so far once per scanned mask, since a loopy
+network has more subsets than its trees.
 
 Bit positions follow the network's node order, so reconstructed plans are
 reproducible for equal input files. The subset DPs take an optional
@@ -72,8 +80,8 @@ __all__ = [
 
 DP_LINEAR_MAX_NODES = 30
 # the linear DP's states are its connected subsets: a 20-node star (2^19 + 19)
-# takes 6.8 s and 40 MB, a 21-node one (2^20 + 20) 12.5 s and 73 MB
-# (Python 3.11, 2 cores)
+# takes 1.5-1.6 s and 23 MB, a 21-node one (2^20 + 20) 3.3 s and 45 MB
+# (shared 2-core AMD EPYC host, Python 3.11.7)
 DP_LINEAR_MAX_SUBSETS = 2**20
 DP_GENERAL_MAX_NODES = 16
 # O(n^3) over big integers, on the iks order: 0.5-0.6 s on a random 256-node
@@ -142,26 +150,28 @@ def dp_linear_optimal(
     # per node: its neighbours as one bitmask, and (bit, edge size) each
     legs = [[(1 << k, s) for k, s in a] for a in adj]
     reach_of = [sum(bit for bit, _ in leg) for leg in legs]
+    # a state is cost << cs | size << ss | reach << 5 | last; a compound size
+    # is at most the product of the tensor sizes, so under 2^(cs - ss)
+    ss = 5 + n
+    cs = ss + sum(t.bit_length() for t in tsize)
+    size_mask, reach_mask = (1 << cs - ss) - 1, (1 << n) - 1
 
-    layer: dict[int, tuple[int, int, int]] = {
-        1 << i: (0, tsize[i], i) for i in range(n)
-    }
-    masks = array("Q", sorted(layer))
+    masks = array("I", [1 << i for i in range(n)])
+    states = [tsize[i] << ss | reach_of[i] << 5 | i for i in range(n)]
     back: list[tuple[array, bytes]] = []  # layers 2..n: masks, last nodes
     bound, seen = DP_LINEAR_MAX_SUBSETS, n  # seen: subsets of finished layers
     for _ in range(n - 1):
-        grown: dict[int, tuple[int, int, int]] = {}
-        for mask in masks:
+        grown: dict[int, int] = {}
+        for at, mask in enumerate(masks):
             _check_deadline(deadline)
             if seen + len(grown) > bound:  # never on trees, after _check_bound
                 raise SizeBoundError(f"network has more than {bound} connected "
                                      f"subsets; the linear DP is bounded at {bound}")
-            cost, size, _ = layer.pop(mask)
-            reach, m = 0, mask
-            while m:
-                low = m & -m
-                reach |= reach_of[low.bit_length() - 1]
-                m ^= low
+            state = states[at]
+            states[at] = None
+            cost = state >> cs
+            size = state >> ss & size_mask
+            reach = state >> 5 & reach_mask
             ext = reach & ~mask
             while ext:
                 bit = ext & -ext
@@ -175,15 +185,16 @@ def dp_linear_optimal(
                 cand = cost + step
                 new_mask = mask | bit
                 old = grown.get(new_mask)
-                if old is None or cand < old[0]:
-                    grown[new_mask] = (cand, step // shared, j)
+                if old is None or cand < old >> cs:
+                    grown[new_mask] = (cand << cs | step // shared << ss
+                                       | (reach | reach_of[j]) << 5 | j)
         seen += len(grown)
-        layer = grown
-        masks = array("Q", sorted(layer))
-        back.append((masks, bytes(layer[m][2] for m in masks)))
+        masks = array("I", sorted(grown))
+        states = [grown[m] for m in masks]
+        back.append((masks, bytes(s & 31 for s in states)))
 
     mask = (1 << n) - 1
-    total = layer[mask][0]
+    total = states[0] >> cs
     order_rev = []
     for masks, lasts in reversed(back):
         last = lasts[bisect_left(masks, mask)]

@@ -85,8 +85,9 @@ class LinearPlan(NamedTuple):
         return json.dumps({"type": "linear", "order": list(self.order)})
 
 
-# stack markers for TreePlan.to_json: close a list, separate two items
-_CLOSE, _COMMA = object(), object()
+# stack markers for TreePlan.to_json and __repr__: close a list or tuple,
+# close a one-item tuple, separate two items
+_CLOSE, _CLOSE_ONE, _COMMA = object(), object(), object()
 
 
 class TreePlan(NamedTuple):
@@ -112,6 +113,32 @@ class TreePlan(NamedTuple):
             else:
                 parts.append(json.dumps(item))
         parts.append("}")
+        return "".join(parts)
+
+    def __repr__(self) -> str:
+        """The NamedTuple repr, ``TreePlan(root=(('a', 'b'), 'c'))``,
+        written without recursion over tuples: tuple.__repr__ recurses
+        once per tree level. Anything else in the tree is written by
+        repr."""
+        parts = ["TreePlan(root="]
+        stack = [self.root]
+        while stack:
+            item = stack.pop()
+            if type(item) is tuple:
+                parts.append("(")
+                stack.append(_CLOSE_ONE if len(item) == 1 else _CLOSE)
+                for later in item[:0:-1]:
+                    stack += (later, _COMMA)
+                stack += item[:1]
+            elif item is _COMMA:
+                parts.append(", ")
+            elif item is _CLOSE:
+                parts.append(")")
+            elif item is _CLOSE_ONE:
+                parts.append(",)")
+            else:
+                parts.append(repr(item))
+        parts.append(")")
         return "".join(parts)
 
 

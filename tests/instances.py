@@ -4,8 +4,9 @@ library only, so that CI can run this file without the package:
     python tests/instances.py NAME FILE
 
 writes the network ``NAME`` (a key of ``INSTANCES``) to ``FILE`` as JSON.
-``CLI_PINS`` in ``test_exact_at_scale.py`` builds its star and MPS path
-through ``write``, so CI's wall bounds time the very files tier-1 pins.
+``CLI_PINS`` in ``test_exact_at_scale.py`` builds its 256-node star and
+MPS path through ``write``, so CI's wall bounds time the very files
+tier-1 pins. CI also bounds the linear DP's memory on ``star-20``.
 """
 
 import json
@@ -13,10 +14,12 @@ import random
 import sys
 
 
-def star_256() -> dict:
-    # a hub and 255 leaves: disconnected intervals with huge sizes and many
-    # near-equal splits, the interval DP's slowest tree shape
-    ids = ["H"] + [f"L{i}" for i in range(1, 256)]
+def star(n: int) -> dict:
+    # a hub and n - 1 leaves. At n = 256: disconnected intervals with huge
+    # sizes and many near-equal splits, the interval DP's slowest tree
+    # shape. At n = 20: 2^19 + 19 connected subsets, the most of any
+    # 20-node tree, so the linear DP's largest layers within its bound
+    ids = ["H"] + [f"L{i}" for i in range(1, n)]
     return {
         "nodes": [{"id": v, "open": 1 + i % 5} for i, v in enumerate(ids)],
         "edges": [{"u": "H", "v": v, "size": 1 + (7 * i) % 10} for i, v in enumerate(ids) if i],
@@ -35,7 +38,8 @@ def mps_path(n: int) -> dict:
 
 
 INSTANCES = {
-    "star-256": star_256,
+    "star-20": lambda: star(20),
+    "star-256": lambda: star(256),
     "mps-256": lambda: mps_path(256),
     "mps-20000": lambda: mps_path(20000),
 }

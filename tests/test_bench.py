@@ -114,6 +114,9 @@ def test_argument_validation():
         run_benchmark([5], 1, algorithms=["magic"])
     with pytest.raises(ValidationError, match="no benchmark algorithms given"):
         run_benchmark([5], 1, algorithms=[])
+    # one record per (algorithm, size, instance): a repeat would write twins
+    with pytest.raises(ValidationError, match="^benchmark algorithm 'iks' is listed twice$"):
+        run_benchmark([4], 1, algorithms=["iks", "iks", "dp-linear"])
     with pytest.raises(ValidationError):
         run_benchmark([1], 1)
     with pytest.raises(ValidationError):

@@ -932,6 +932,7 @@ def test_bench_empty_algorithm_list(capsys):
 BENCH_ARGUMENT_ERRORS = {
     "unknown algorithm": ["--algorithms", "magic"],
     "empty algorithm list": ["--algorithms", ""],
+    "repeated algorithm": ["--algorithms", "iks,iks,dp-linear"],
     "no instances": ["--instances", "0"],
     "negative timeout": ["--timeout-ms", "-1"],
     "size 1": ["--sizes", "1"],

@@ -623,3 +623,18 @@ def test_dp_linear_peak_memory_is_two_layers():
             tracemalloc.stop()
     assert results[0] == results[1]
     assert 2 * peaks[1] <= peaks[0]
+
+
+def test_dp_linear_peak_memory_per_subset():
+    # a 16-node star has 2^15 + 15 connected subsets; each state is one
+    # int and a finished layer a mask array and a state list, so the peak
+    # stays under 48 bytes a subset (73 when a state was a dict entry
+    # holding a (cost, size, last) tuple)
+    net = to_network(*shaped_tree(random.Random(16), "star", 16))
+    tracemalloc.start()
+    try:
+        dp_linear_optimal(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * (2**15 + 15)

@@ -72,6 +72,27 @@ def test_deep_tree_plans_dump_without_recursion():
         assert TreePlan(root).to_json() == '{"type": "tree", "root": ' + text + "}"
 
 
+def test_tree_plan_repr_matches_the_named_tuple_repr():
+    # what a NamedTuple writes, on shallow trees and on what parse_plan
+    # never builds
+    rng = random.Random(12)
+    for _ in range(200):
+        leaves = [rng.choice([f"T{i}", i, 'q"\\\n', "\u00e9"]) for i in range(rng.randint(1, 30))]
+        root = _random_tree(rng, leaves)
+        assert repr(TreePlan(root)) == f"TreePlan(root={root!r})"
+    for root in ((), ("a",), ("a", "b", "c"), ((("a",), ()), 2.5), (["a", ("b", 1)], None)):
+        assert repr(TreePlan(root)) == f"TreePlan(root={root!r})"
+    assert repr(TreePlan((("a", "b"), "c"))) == "TreePlan(root=(('a', 'b'), 'c'))"
+
+
+def test_deep_tree_plans_repr_without_recursion():
+    # 5,000 levels: tuple.__repr__ recurses once per level and raises
+    # RecursionError past about 1,000
+    for root, text in _deep_trees(5000):
+        assert repr(TreePlan(root)) == "TreePlan(root=" + text.replace('"', "'").replace(
+            "[", "(").replace("]", ")") + ")"
+
+
 def test_deep_tree_plans_round_trip_within_the_parser_limit():
     # within json.loads' own depth limit, parse_plan reads through it;
     # deeper plans go to _read_deep (see
