@@ -7,7 +7,7 @@ nodes; ``plan_ledger.json``, which pins the plan bytes (as sha256) and
 the exact cost of ``iks`` on six tree families up to 2048 nodes, of
 ``mst-iks`` on loopy networks, of ``lin-dp`` on the iks order of those
 families and on a shuffled order of a dims {1, 2} tree up to 256 nodes,
-and of ``dp-general`` on loopy networks of 10 and 12 nodes; and
+and of ``dp-general`` on loopy networks of 10, 12 and 16 nodes; and
 ``CLI_PINS``, which holds the printed costs and plan-file digests of
 ``tnorder order`` on seven instances, built as the CI workflow built
 them up to 389d1ee; the 256-node star and MPS path come from
@@ -114,7 +114,7 @@ TREE_FAMILIES = ("random", "path", "star", "caterpillar", "binary-ttn", "spider"
 TREE_SIZES = (64, 256, 512, 1024, 2048)
 LOOPY_SIZES = (32, 64, 128, 256)
 LIN_DP_SIZES = (64, 128, 256)
-DP_GENERAL_SIZES = (10, 12)
+DP_GENERAL_SIZES = (10, 12, 16)
 
 
 def _seeds(n: int) -> tuple[int, ...]:
