@@ -64,7 +64,9 @@ def max_spanning_tree(net: TensorNetwork) -> TensorNetwork:
     return TensorNetwork(open_mult, tree_edges)
 
 
-def order_arbitrary(net: TensorNetwork) -> tuple[tuple[NodeId, ...], int]:
+def order_arbitrary(
+    net: TensorNetwork, *, deadline: float | None = None
+) -> tuple[tuple[NodeId, ...], int]:
     """Linear order for any connected network, priced on that network.
 
     Optimal on trees (where it reduces to the tree optimizer); elsewhere
@@ -73,6 +75,6 @@ def order_arbitrary(net: TensorNetwork) -> tuple[tuple[NodeId, ...], int]:
     than the tree's estimate since extra edges only shrink contractions.
     """
     tree = max_spanning_tree(net)
-    order, _tree_cost = iks_order(tree)
+    order, _tree_cost = iks_order(tree, deadline=deadline)
     report = evaluate_linear(net, order)
     return order, report.cost

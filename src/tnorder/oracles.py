@@ -30,9 +30,23 @@ and on the subsets built so far once per scanned mask, since a loopy
 network has more subsets than its trees.
 
 Bit positions follow the network's node order, so reconstructed plans are
-reproducible for equal input files. The subset DPs take an optional
-``deadline`` (a ``time.monotonic()`` instant) checked once per subset,
-raising ``TimeoutError`` so a partial table is discarded cleanly.
+reproducible for equal input files. All three take an optional
+``deadline`` (a ``time.monotonic()`` instant), raising ``TimeoutError`` so
+a partial table is discarded cleanly. The subset DPs check it once per
+subset whose splits they scan, ``linearized_dp`` once per interval length.
+
+``dp_general_optimal`` and ``linearized_dp`` first take an upper bound UB,
+the exact cost of a real plan: for ``linearized_dp`` its base order
+contracted left to right, for ``dp_general_optimal`` ``linearized_dp`` on
+the ``mst-iks`` order. Every subset or interval S of two or more nodes
+with |S| > UB, strictly, is then skipped before its splits are scanned
+and gets best = UB + 1: forming S costs |S| shared >= |S| > UB, and the
+optimum is at most UB. By induction over |S| in nodes, a subset whose
+unpruned best is at most UB keeps that value and its first-minimum
+split, since each of its splits whose halves both keep theirs is priced
+as before and every other split sums past UB; every other subset's best
+stays past UB. So plans, tie-breaks and costs are those of the unpruned
+recurrences.
 
 The split loops of ``dp_general_optimal`` and ``linearized_dp`` price a
 split of S into halves A and B only when it can beat the best split found
@@ -83,12 +97,15 @@ DP_LINEAR_MAX_NODES = 30
 # takes 1.5-1.6 s and 23 MB, a 21-node one (2^20 + 20) 3.3 s and 45 MB
 # (shared 2-core AMD EPYC host, Python 3.11.7)
 DP_LINEAR_MAX_SUBSETS = 2**20
+# 3^n partitions, less those of subsets past the bound: 0.4-0.7 s on 16-node
+# loopy networks (four loops) and on a 16-node random tree, 2.5-3.7 s with no
+# subset skipped (2-core host, Python 3.11.7)
 DP_GENERAL_MAX_NODES = 16
 # O(n^3) over big integers, on the iks order: 0.5-0.6 s on a random 256-node
-# tree, 0.4 s on a 256-node star and 0.5 s on a two-leg spider (dims 1-10,
-# open legs 1-5), 0.7 s on a 256-node MPS path (open legs 2-4, bonds 2-10),
-# 0.9-1.1 s on a 256-node path of 10^6 bonds, 3.5-4.3 s on a 384-node one
-# (Python 3.11, 2 cores)
+# tree, 0.2-0.3 s on a 256-node star and on a two-leg spider (dims 1-10, open
+# legs 1-5), 0.6-0.8 s on a 256-node MPS path (open legs 2-4, bonds 2-10),
+# 1.6-1.9 s on one of 10^6 bonds, 8.2-8.6 s on a 384-node one (measured
+# together, three runs each, shared 2-core AMD EPYC host, Python 3.11.7)
 LIN_DP_MAX_NODES = 256
 
 
@@ -275,10 +292,23 @@ def dp_general_optimal(
     partition whose halves share no edge is priced as
     an outer product; such splits do win occasionally, so nothing
     restricts the search to connected halves.
+
+    Before the scan, UB is the exact cost of ``linearized_dp`` on the
+    ``mst-iks`` order (``heuristics.order_arbitrary``), both given this
+    call's ``deadline``. A subset S with |S| > UB gets best = UB + 1 and
+    no scan, exactly as the module docstring argues: forming it costs at
+    least |S|, and by induction every subset whose best is at most UB
+    keeps its value and split.
     """
     _check_bound(net, "dp-general")
+    from .heuristics import order_arbitrary  # imported by dp-general alone
+
     n = len(net.nodes)
     nodes = net.nodes
+    # the bound: lin-dp on the mst-iks order, a real plan's exact cost
+    ub = linearized_dp(
+        net, order_arbitrary(net, deadline=deadline)[0], deadline=deadline
+    )[1]
     size = _subset_sizes(net)
     bits = [s.bit_length() for s in size]
     full = (1 << n) - 1
@@ -288,8 +318,11 @@ def dp_general_optimal(
     for mask in range(1, full + 1):
         if mask & (mask - 1) == 0:
             continue  # a lone tensor costs nothing
-        _check_deadline(deadline)
         whole = size[mask]
+        if whole > ub:
+            best[mask] = ub + 1  # forming mask alone costs past the bound
+            continue
+        _check_deadline(deadline)
         wb = bits[mask] - 3
         low = mask & -mask
         high = mask ^ low
@@ -330,7 +363,10 @@ def dp_general_optimal(
 
 
 def linearized_dp(
-    net: TensorNetwork, order: LinearPlan | Sequence[NodeId]
+    net: TensorNetwork,
+    order: LinearPlan | Sequence[NodeId],
+    *,
+    deadline: float | None = None,
 ) -> tuple[TreeNode, int]:
     """Best contraction tree whose in-order leaves equal ``order``.
 
@@ -358,6 +394,14 @@ def linearized_dp(
     column copies of the size, bit-length and cost tables, nsz[j][k] =
     sz[k+1][j], nbl[j][k] = bl[k+1][j] and nbest[j][k] = best[k+1][j], let
     a split read both halves at the same index k.
+
+    Before the scan, UB is ``order`` contracted left to right, n - 1 steps
+    priced on the size table. An interval [i, j] whose size exceeds UB is
+    not scanned: as the module docstring argues, forming it costs at least
+    its size, so it gets best = UB + 1 and every interval whose best is at
+    most UB keeps its value and split. It takes split[i][j] = split[i][j-1],
+    so the seed of [i, j+1] stays inside that interval. ``deadline`` is
+    checked once per interval length.
     """
     _check_bound(net, "lin-dp")
     n = len(net.nodes)
@@ -388,16 +432,24 @@ def linearized_dp(
             size = sz_i[j] = nsz[j][i - 1] = size * tsize[j] // (shared * shared)
             bl_i[j] = nbl[j][i - 1] = size.bit_length()
 
+    # the bound: the order contracted left to right
+    sz_0 = sz[0]
+    ub = sum(_split_cost(sz_0[k - 1], tsize[k], sz_0[k]) for k in range(1, n))
     best = [[0] * n for _ in range(n)]
     nbest = [[0] * n for _ in range(n)]
     # split[i][i] = i, the seed of [i, i + 1]
     split = [[i] * n for i in range(n)]
     for length in range(2, n + 1):
+        _check_deadline(deadline)
         for i in range(n - length + 1):
             j = i + length - 1
             sz_i, bl_i, best_i, split_i = sz[i], bl[i], best[i], split[i]
-            nsz_j, nbl_j, nbest_j = nsz[j], nbl[j], nbest[j]
             whole = sz_i[j]
+            if whole > ub:  # forming [i, j] alone costs past the bound
+                best_i[j] = nbest[j][i - 1] = ub + 1
+                split_i[j] = split_i[j - 1]  # keeps [i, j + 1]'s seed in range
+                continue
+            nsz_j, nbl_j, nbest_j = nsz[j], nbl[j], nbest[j]
             wb = bl_i[j] - 3
             at = seed = split_i[j - 1]
             seed_cost = best_i[seed] + nbest_j[seed] + _split_cost(

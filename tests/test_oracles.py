@@ -2,6 +2,7 @@ import math
 import random
 import time
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +17,7 @@ from tnorder import (
     generate_random_tree_network,
     iks_order,
     linearized_dp,
+    order_arbitrary,
 )
 from tnorder import oracles
 from tnorder.oracles import DP_GENERAL_MAX_NODES, DP_LINEAR_MAX_NODES, LIN_DP_MAX_NODES
@@ -26,6 +28,7 @@ from helpers import (
     min_linear_cost,
     min_tree_cost,
     naive_tree,
+    random_connected_data,
     random_precedence_order,
     random_tree_data,
     shaped_tree,
@@ -243,6 +246,39 @@ def test_dp_general_size_bound():
 def test_dp_general_deadline(five_tensor_net):
     with pytest.raises(TimeoutError):
         dp_general_optimal(five_tensor_net, deadline=time.monotonic() - 1.0)
+
+
+def _net_at(n, extra=0):
+    """A random network of ``n`` nodes with ``extra`` loop edges."""
+    return to_network(*random_connected_data(random.Random(n), n, extra, open_hi=3))
+
+
+def _lin_dp_at(n):
+    net = _net_at(n)
+    return partial(linearized_dp, net, iks_order(net)[0])
+
+
+# solver -> its call on a network at its bound, still to be given a deadline
+DEADLINE_CASES = {
+    "iks": lambda: partial(iks_order, _net_at(4096)),
+    "mst-iks": lambda: partial(order_arbitrary, _net_at(4096, 512)),
+    "dp-linear": lambda: partial(
+        dp_linear_optimal, to_network(*shaped_tree(random.Random(19), "star", 19))
+    ),
+    "dp-general": lambda: partial(dp_general_optimal, _net_at(DP_GENERAL_MAX_NODES, 4)),
+    "lin-dp": lambda: _lin_dp_at(LIN_DP_MAX_NODES),
+}
+
+
+@pytest.mark.parametrize("solver", DEADLINE_CASES)
+def test_a_passed_deadline_stops_each_solver_soon(solver):
+    # a full run takes 0.3 to 5 s; only set-up that is linear or quadratic in
+    # the node count may come before the first check
+    run = DEADLINE_CASES[solver]()
+    start = time.monotonic()
+    with pytest.raises(TimeoutError):
+        run(deadline=start - 1.0)
+    assert time.monotonic() - start < 0.25
 
 
 # ------------------------------------------------------------ linearized_dp
@@ -521,9 +557,10 @@ def test_lin_dp_prices_few_splits(monkeypatch):
     linearized_dp(net, order)
     splits = n * (n * n - 1) // 6
     assert calls[0] <= splits // 4
-    # exactly each interval's seed split and the strict winners: any change
-    # to the skip tests keeps this count
-    assert calls[0] == 2458
+    # exactly the n - 1 steps of the left-to-right bound, then each interval's
+    # seed split and the strict winners, in intervals no larger than the
+    # bound: any change to the split tests keeps this count
+    assert calls[0] == 2475
 
 
 def test_dp_general_prices_few_partitions(monkeypatch):
@@ -540,7 +577,9 @@ def test_dp_general_prices_few_partitions(monkeypatch):
     dp_general_optimal(net)
     partitions = (3**n - 2 ** (n + 1) + 1) // 2
     assert calls[0] <= partitions // 4
-    assert calls[0] == 12331  # the strict winners and each mask's first split
+    # the bound's lin-dp pricing, then each mask's first split and the strict
+    # winners, in masks no larger than the bound
+    assert calls[0] == 4323
 
 
 # ------------------------------------------------- two-layer dp_linear
