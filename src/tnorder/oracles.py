@@ -26,8 +26,15 @@ are kept, and the order is rebuilt by walking those back with
 replaced only when ``cand < old >> cs``, a strictly smaller cost, so of
 a subset's equal-cost predecessors the lowest mask wins. Its subset
 bound is checked on a spanning tree before any work, exact on trees,
-and on the subsets built so far once per scanned mask, since a loopy
-network has more subsets than its trees.
+and on the subsets kept so far once per scanned mask, since a loopy
+network has more subsets than its trees. A subset is kept only if some
+plan through it can cost at most UB, the exact cost of the ``mst-iks``
+order; the function's docstring gives the rule and the proof that plans
+and costs stay those of the unpruned DP. On trees, where that order is
+optimal, few subsets are kept: 977 of the 2^18 + 18 of a 19-node star.
+Off trees the bound can be loose: on a 16-node ladder the order costs
+9,665 times the optimum, and 14,284 of its 14,748 connected subsets are
+kept.
 
 Bit positions follow the network's node order, so reconstructed plans are
 reproducible for equal input files. All three take an optional
@@ -93,9 +100,14 @@ __all__ = [
 ]
 
 DP_LINEAR_MAX_NODES = 30
-# the linear DP's states are its connected subsets: a 20-node star (2^19 + 19)
-# takes 1.5-1.6 s and 23 MB, a 21-node one (2^20 + 20) 3.3 s and 45 MB
-# (shared 2-core AMD EPYC host, Python 3.11.7)
+# bounds the linear DP's unpruned search space, its connected subsets counted
+# on a spanning tree, before any work, and the subsets it keeps, in the layer
+# loop. The plan-cost bound keeps few on trees: a 19-node star (2^18 + 18)
+# takes 5-6 ms, where building every subset took 1.4-1.7 s. Stars of 21 nodes
+# and more are still refused, as a policy on the unpruned space, though with
+# this limit lifted a 30-node star takes 5 ms. Ladders are refused after 2^20
+# kept subsets: 24 nodes in 5.8-6.4 s and +50 MB, 30 nodes in 4.4-4.6 s and
+# +80 MB (in process, one session, shared 2-core host, Python 3.11.7)
 DP_LINEAR_MAX_SUBSETS = 2**20
 # 3^n partitions, less those of subsets past the bound: 0.4-0.7 s on 16-node
 # loopy networks (four loops) and on a 16-node random tree, 2.5-3.7 s with no
@@ -159,10 +171,34 @@ def dp_linear_optimal(
     ``DP_LINEAR_MAX_NODES`` nodes and ``DP_LINEAR_MAX_SUBSETS`` connected
     subsets, both checked as the module docstring says. Two layers of
     subsets are live at a time.
+
+    Before the layers, UB is the exact cost of the ``mst-iks`` order
+    (``heuristics.order_arbitrary``, given this call's ``deadline``). That
+    order is a real plan and free of outer products, since each of its
+    prefixes is connected on a spanning tree, so UB is at least the
+    optimum whether or not the order is optimal. Let rem(S) = max(|S|,
+    |full|) for a subset S other than the full network, whose compound
+    size is |full|. Any plan through S costs at least best(S) + rem(S):
+    the step that extends S costs |S| |j| / shared >= |S|, since the
+    shared legs are legs of the new node j, and the last step's result is
+    the full network, which costs at least |full|. So a candidate whose
+    cand + rem(new mask) > UB is dropped before it is stored. A subset X
+    is then kept, with its unpruned best and last node, exactly when
+    best(X) + rem(X) <= UB: by induction over the layers, an equal-cost
+    predecessor P of X has best(P) + rem(P) <= best(P) + step + rem(X) =
+    best(X) + rem(X), so it is kept too, and every candidate for an X
+    past the bound is at least best(X) and is dropped. The candidates
+    of a kept X that tie its best all survive, so the lowest-mask rule
+    picks the same one, and the full network, on the optimal plan, is
+    always reached. Plans and costs are those of the unpruned DP.
     """
     _check_bound(net, "dp-linear")
+    from .heuristics import order_arbitrary  # imported by the exact DPs alone
+
     n = len(net.nodes)
     nodes = net.nodes
+    # the bound: the mst-iks order, a real outer-product-free plan's cost
+    ub = order_arbitrary(net, deadline=deadline)[1]
     tsize, adj = _indexed(net, nodes)
     # per node: its neighbours as one bitmask, and (bit, edge size) each
     legs = [[(1 << k, s) for k, s in a] for a in adj]
@@ -172,6 +208,9 @@ def dp_linear_optimal(
     ss = 5 + n
     cs = ss + sum(t.bit_length() for t in tsize)
     size_mask, reach_mask = (1 << cs - ss) - 1, (1 << n) - 1
+    full = reach_mask
+    # a candidate past lim is dropped whatever its size: rem >= |full|
+    lim = ub - math.prod(net.open_mult.values())
 
     masks = array("I", [1 << i for i in range(n)])
     states = [tsize[i] << ss | reach_of[i] << 5 | i for i in range(n)]
@@ -203,7 +242,10 @@ def dp_linear_optimal(
                 new_mask = mask | bit
                 old = grown.get(new_mask)
                 if old is None or cand < old >> cs:
-                    grown[new_mask] = (cand << cs | step // shared << ss
+                    new_size = step // shared
+                    if (cand > lim or cand + new_size > ub) and new_mask != full:
+                        continue  # any plan through new_mask costs past the bound
+                    grown[new_mask] = (cand << cs | new_size << ss
                                        | (reach | reach_of[j]) << 5 | j)
         seen += len(grown)
         masks = array("I", sorted(grown))

@@ -1,7 +1,8 @@
 """Exact evidence for ``iks`` at sizes the subset DPs cannot reach.
 
 Four guards: ``dp_linear_optimal`` on a 19-node star (2^18 connected
-subsets, the most a tree of 19 nodes has); the O(n^2) path oracle in
+subsets, the most a tree of 19 nodes has), with its memory bounded, so
+that the DP's plan-cost bound must prune; the O(n^2) path oracle in
 ``helpers``, which gives the optimum of paths with up to a thousand
 nodes; ``plan_ledger.json``, which pins the plan bytes (as sha256) and
 the exact cost of ``iks`` on six tree families up to 2048 nodes, of
@@ -24,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -55,13 +57,28 @@ import instances
 
 
 def test_iks_matches_the_subset_dp_on_a_19_node_star():
-    # size-1 edges and open legs: ranks tie; about 3 s of the DP
+    # size-1 edges and open legs: ranks tie
     nodes, edges = shaped_tree(random.Random("star/19"), "star", 19, dim_hi=10, open_hi=5)
     net = TensorNetwork(nodes, edges)
     order, cost = iks_order(net)
     dp_order, dp_cost = dp_linear_optimal(net)
     assert cost == dp_cost
     assert evaluate_linear(net, order) == evaluate_linear(net, dp_order) == (cost, True)
+
+
+def test_the_bound_prunes_the_subset_dp_on_a_19_node_star():
+    # the DP skips every subset that no plan within the mst-iks order's
+    # cost passes through: it keeps 977 of the 2^18 + 18 subsets, where
+    # building all of them peaked at about 10 MB
+    nodes, edges = shaped_tree(random.Random("star/19"), "star", 19, dim_hi=10, open_hi=5)
+    net = TensorNetwork(nodes, edges)
+    tracemalloc.start()
+    try:
+        dp_linear_optimal(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 # ------------------------------------------------------------ path oracle
