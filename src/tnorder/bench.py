@@ -191,8 +191,8 @@ def render_chart(records: Sequence[BenchRecord]) -> str:
     """Two-panel SVG of mean wall time against size, log-scale time axis.
 
     The left panel covers the size range every algorithm completed (the
-    head-to-head region); the right panel covers all sizes, where an
-    exponential solver's curve simply stops once nothing finishes.
+    head-to-head region); the right panel covers all sizes, where a
+    solver's curve stops at the sizes it refuses or never finishes.
     """
     summaries = [s for s in summarize(records) if s.mean_wall_us is not None]
     if not summaries:
