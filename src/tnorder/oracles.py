@@ -53,7 +53,9 @@ unpruned best is at most UB keeps that value and its first-minimum
 split, since each of its splits whose halves both keep theirs is priced
 as before and every other split sums past UB; every other subset's best
 stays past UB. So plans, tie-breaks and costs are those of the unpruned
-recurrences.
+recurrences. ``dp_general_optimal`` also skips a proper subset S with
+|S| + max(|S|, |full|) > UB, as the step consuming S costs at least |S|
+more and the last step at least |full|; its docstring gives the proof.
 
 The split loops of ``dp_general_optimal`` and ``linearized_dp`` price a
 split of S into halves A and B only when it can beat the best split found
@@ -75,10 +77,12 @@ sizes) needs no test of its own: when gap > 0 it only skips splits with
 cost >= gap, which the square test skips too. Only a split that strictly
 wins takes an isqrt for its cost. ``linearized_dp`` starts each
 interval's scan from a seed split, priced first, that is often the
-winner, so few later splits pass the half-sum; ``dp_general_optimal``
-starts from the first split it visits. Either way ties go to the first
-minimum in the order of pricing every split, so plans are those of the
-unpruned recurrences.
+winner, so few later splits pass the half-sum, and ties go to the first
+minimum in the order of pricing every split. ``dp_general_optimal``
+starts from UB + 1 and keeps strict wins only; its tie rule, the minimal
+partition with the largest s (as its docstring names partitions), picks
+the first minimum of the unpruned recurrence. Either way plans are those
+of the unpruned recurrences.
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ import math
 import time
 from array import array
 from bisect import bisect_left
+from itertools import filterfalse
 from typing import Sequence
 
 from .network import NodeId, SizeBoundError, TensorNetwork
@@ -109,9 +114,11 @@ DP_LINEAR_MAX_NODES = 30
 # kept subsets: 24 nodes in 5.8-6.4 s and +50 MB, 30 nodes in 4.4-4.6 s and
 # +80 MB (in process, one session, shared 2-core host, Python 3.11.7)
 DP_LINEAR_MAX_SUBSETS = 2**20
-# 3^n partitions, less those of subsets past the bound: 0.4-0.7 s on 16-node
-# loopy networks (four loops) and on a 16-node random tree, 2.5-3.7 s with no
-# subset skipped (2-core host, Python 3.11.7)
+# 3^n partitions, less those of subsets no plan within the bound passes
+# through and those with a half that is not live: 0.1-0.4 s on 16-node loopy
+# networks (four loops) and on 16-node random trees, 0.4-0.9 s skipping only
+# subsets larger than the bound, 2.5-3.7 s with no subset skipped (2-core
+# host, Python 3.11.7)
 DP_GENERAL_MAX_NODES = 16
 # O(n^3) over big integers, on the iks order: 0.5-0.6 s on a random 256-node
 # tree, 0.2-0.3 s on a 256-node star and on a two-leg spider (dims 1-10, open
@@ -320,27 +327,52 @@ def dp_general_optimal(
 
     best(S) minimizes best(S1) + best(S2) + cost(S1, S2) over every
     two-way partition of S (3^n work), bounded at ``DP_GENERAL_MAX_NODES``
-    nodes. Each partition is visited once, as S1 = low | s with low the
-    lowest bit of S and s descending over the proper submasks of S - low;
-    the first minimum in that order wins ties. A partition is priced only
-    if it can strictly win, by the module docstring's three tests: it is
-    skipped when best(S1) + best(S2) is at least the best so far minus |S|
-    (a split costs at least |S|); else, with gap the best so far minus that
-    sum and a, b, c and g the bit lengths of |S1|, |S2|, |S| and gap, when
-    a + b + c - 3 >= 2g, read off ``bits``; else when |S1| |S2| |S| >=
-    gap^2, since cost^2 = |S1| |S2| |S|; that also covers cost >=
-    max(|S1|, |S2|). The bit test implies the square test, so the
-    partitions priced are those the square test alone would price. A
-    partition whose halves share no edge is priced as
+    nodes. Each partition is named by its half S1 = low | s holding the
+    lowest bit low of S, s a proper submask of S - low; the tie rule is the
+    minimal partition with the largest s. Both walks below visit s in
+    descending order and keep only strict wins, so the rule holds on
+    either. A partition is priced only if it can strictly win, by the
+    module docstring's three tests: it is skipped when best(S1) + best(S2)
+    is at least the best so far minus |S| (a split costs at least |S|);
+    else, with gap the best so far minus that sum and a, b, c and g the bit
+    lengths of |S1|, |S2|, |S| and gap, when a + b + c - 3 >= 2g, read off
+    ``bits``; else when |S1| |S2| |S| >= gap^2, since cost^2 = |S1| |S2|
+    |S|; that also covers cost >= max(|S1|, |S2|). The bit test implies
+    the square test, so the partitions priced are those the square test
+    alone would price. A partition whose halves share no edge is priced as
     an outer product; such splits do win occasionally, so nothing
     restricts the search to connected halves.
 
     Before the scan, UB is the exact cost of ``linearized_dp`` on the
     ``mst-iks`` order (``heuristics.order_arbitrary``), both given this
-    call's ``deadline``. A subset S with |S| > UB gets best = UB + 1 and
-    no scan, exactly as the module docstring argues: forming it costs at
-    least |S|, and by induction every subset whose best is at most UB
-    keeps its value and split.
+    call's ``deadline``. Each scan starts from best so far = UB + 1, so a
+    subset none of whose partitions costs at most UB keeps UB + 1 and no
+    split. A proper subset S of two or more nodes is not scanned, and
+    keeps UB + 1, when |S| + r(S) > UB, with r(S) = max(|S|, |full|) and
+    r(full) = 0. On a plan, the step forming S costs |S| shared >= |S|,
+    the step consuming S costs at least |S| too (the legs S shares with
+    its sibling are the sibling's), and the last step, whose result is the
+    full network, costs at least |full|; so every plan through S costs at
+    least best(S) + r(S) >= |S| + r(S). Proof that plans and costs are
+    those of the unpruned recurrence, by induction over |S| in nodes, of
+    (i) every stored value v(S) >= min(best(S), UB + 1), and (ii) v(S) =
+    best(S), with the same split, when best(S) + r(S) <= UB. (i): a value
+    other than UB + 1 is a partition's cost plus two half values at most
+    UB, each at least its half's best by (i). (ii): S is scanned, as
+    best(S) >= |S|; the halves A, B of its first minimal partition meet
+    best(A) + r(A) <= best(A) + cost(A, B) + r(S) <= best(S) + r(S), as
+    the cost is at least |A| and, for S = full, at least |full|, so their
+    values are exact; every other partition sums, by (i), to past UB or at
+    least its unpruned value, so none ties or beats it earlier. The full
+    network meets (ii), as best(full) <= UB.
+
+    A mask is live when it is a single node or its scan ended with a value
+    at most UB; ``live`` lists them in ascending order by lowest node. A
+    partition with a half that is not live sums past UB and never wins.
+    So a scanned S of k nodes with lowest node l walks l's list, filtered
+    to S's submasks, when that list is shorter than S's 2^(k-1) - 1
+    partitions, and else every submask of S holding l. Small masks take the
+    submask walk, as l's list is long against their few partitions.
     """
     _check_bound(net, "dp-general")
     from .heuristics import order_arbitrary  # imported by dp-general alone
@@ -354,46 +386,70 @@ def dp_general_optimal(
     size = _subset_sizes(net)
     bits = [s.bit_length() for s in size]
     full = (1 << n) - 1
+    # a proper subset S is skipped when |S| + max(|S|, |full|) > ub
+    cap = min(ub // 2, ub - size[full])
 
-    best = [0] * (full + 1)
+    best = [ub + 1] * (full + 1)
     split = [0] * (full + 1)
-    for mask in range(1, full + 1):
+    live = []  # per lowest node: the live masks holding it, ascending
+    for i in range(n):
+        best[1 << i] = 0  # a lone tensor costs nothing
+        live.append([1 << i])
+    for mask in range(3, full + 1):
         if mask & (mask - 1) == 0:
-            continue  # a lone tensor costs nothing
-        whole = size[mask]
-        if whole > ub:
-            best[mask] = ub + 1  # forming mask alone costs past the bound
             continue
+        whole = size[mask]
+        if whole > cap and mask != full:
+            continue  # on no plan within the bound: best stays ub + 1
         _check_deadline(deadline)
         wb = bits[mask] - 3
         low = mask & -mask
-        high = mask ^ low
-        # each partition is seen once, as the half holding the lowest bit:
-        # low | s for s descending over the proper submasks of high
-        s = (high - 1) & high
-        sub = low | s
-        rest = mask ^ sub
-        cur = best[sub] + best[rest] + _split_cost(size[sub], size[rest], whole)
+        halves = live[low.bit_length() - 1]
+        # strict wins below ub + 1: of the minimal partitions, the one whose
+        # half holding low is largest
+        cur = ub + 1
         lim = cur - whole
-        at = sub
-        while s:
-            s = (s - 1) & high
-            sub = low | s
-            rest = mask ^ sub
-            part = best[sub] + best[rest]
-            if part >= lim:
-                continue  # a split costs at least whole
-            gap = cur - part
-            if bits[sub] + bits[rest] + wb >= 2 * gap.bit_length():
-                continue  # left * right * whole >= 2^(2 bits of gap) > gap^2
-            left, right = size[sub], size[rest]
-            if left * right * whole >= gap * gap:
-                continue  # cost^2 = left * right * whole
-            cur = part + _split_cost(left, right, whole)
-            lim = cur - whole
-            at = sub
-        best[mask] = cur
-        split[mask] = at
+        at = 0
+        if len(halves) < (1 << mask.bit_count() - 1) - 1:
+            # the live halves holding low that lie in mask, descending
+            for sub in filterfalse((full ^ mask).__and__, reversed(halves)):
+                rest = mask ^ sub
+                part = best[sub] + best[rest]
+                if part >= lim:
+                    continue  # a split costs at least whole
+                gap = cur - part
+                if bits[sub] + bits[rest] + wb >= 2 * gap.bit_length():
+                    continue  # left * right * whole >= 2^(2 bits of gap) > gap^2
+                left, right = size[sub], size[rest]
+                if left * right * whole >= gap * gap:
+                    continue  # cost^2 = left * right * whole
+                cur = part + _split_cost(left, right, whole)
+                lim = cur - whole
+                at = sub
+        else:
+            # every half holding low, descending: rest ascends over the
+            # nonempty submasks of high
+            high = mask ^ low
+            rest = 0
+            while rest != high:
+                rest = (rest - high) & high
+                sub = mask ^ rest
+                part = best[sub] + best[rest]
+                if part >= lim:
+                    continue  # a split costs at least whole
+                gap = cur - part
+                if bits[sub] + bits[rest] + wb >= 2 * gap.bit_length():
+                    continue  # left * right * whole >= 2^(2 bits of gap) > gap^2
+                left, right = size[sub], size[rest]
+                if left * right * whole >= gap * gap:
+                    continue  # cost^2 = left * right * whole
+                cur = part + _split_cost(left, right, whole)
+                lim = cur - whole
+                at = sub
+        if at:  # else no split is within the bound: best stays ub + 1
+            best[mask] = cur
+            split[mask] = at
+            halves.append(mask)
 
     def build(mask: int) -> TreeNode:
         if mask & (mask - 1) == 0:

@@ -490,6 +490,29 @@ def test_pruned_dps_match_unpruned_recurrences(seed, n, dim_hi, extra, pow2):
     assert dp_general_optimal(net) == _ref_dp_general(net)
 
 
+@pytest.mark.parametrize(
+    "seed, dim_hi, extra, pow2",
+    [
+        (1, 10**20, 0, False),
+        (2, 10**20, 6, False),
+        (3, 10, 3, True),
+        (4, 2, 6, False),
+        (5, 3, 2, True),
+        (6, 10**20, 4, True),
+        (7, 10, 5, False),
+        (8, 2, 1, True),
+    ],
+)
+def test_dp_general_matches_the_unpruned_recurrence_at_12_nodes(
+    seed, dim_hi, extra, pow2
+):
+    # past the hypothesis test's 9 nodes: the lowest node's list of live
+    # masks is shorter than a large mask's partitions, so those masks take
+    # the live-list walk (11 to 136 masks per case here)
+    net = _tie_heavy_network(random.Random(seed), 12, dim_hi, extra, pow2)
+    assert dp_general_optimal(net) == _ref_dp_general(net)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -577,9 +600,10 @@ def test_dp_general_prices_few_partitions(monkeypatch):
     dp_general_optimal(net)
     partitions = (3**n - 2 ** (n + 1) + 1) // 2
     assert calls[0] <= partitions // 4
-    # the bound's lin-dp pricing, then each mask's first split and the strict
-    # winners, in masks no larger than the bound
-    assert calls[0] == 4323
+    # the bound's lin-dp pricing, then the strict winners below UB + 1 in
+    # the masks some plan within the bound can pass through; each scan
+    # starts from UB + 1, so no mask's first split is priced unconditionally
+    assert calls[0] == 1806
 
 
 # ------------------------------------------------- two-layer dp_linear
