@@ -56,6 +56,8 @@ stays past UB. So plans, tie-breaks and costs are those of the unpruned
 recurrences. ``dp_general_optimal`` also skips a proper subset S with
 |S| + max(|S|, |full|) > UB, as the step consuming S costs at least |S|
 more and the last step at least |full|; its docstring gives the proof.
+It sizes, skips and scans its masks in one ascending pass: a mask is
+sized from the mask less its lowest node, which comes before it.
 
 The split loops of ``dp_general_optimal`` and ``linearized_dp`` price a
 split of S into halves A and B only when it can beat the best split found
@@ -72,9 +74,11 @@ lengths of |A|, |B|, |S| and gap, |A| |B| |S| >= 2^(a+b+c-3) and gap^2 <
 2^(2g): the split is skipped when a + b + c - 3 >= 2g, from small
 integers held in tables, with no product formed. Last, on the splits
 those bits leave open, the square test itself: skipped when |A| |B| |S|
->= gap^2. The bound cost(A, B) >= max(|A|, |B|) (shared divides both
-sizes) needs no test of its own: when gap > 0 it only skips splits with
-cost >= gap, which the square test skips too. Only a split that strictly
+>= gap^2. The bit test implies the square test, so the splits priced
+are those the square test alone would price. The bound cost(A, B) >=
+max(|A|, |B|) (shared divides both sizes) needs no test of its own: when
+gap > 0 it only skips splits with cost >= gap, which the square test
+skips too. Only a split that strictly
 wins takes an isqrt for its cost. ``linearized_dp`` starts each
 interval's scan from a seed split, priced first, that is often the
 winner, so few later splits pass the half-sum, and ties go to the first
@@ -293,22 +297,6 @@ def _tree_subset_count(net: TensorNetwork) -> int:
     return sum(f.values())
 
 
-def _subset_sizes(net: TensorNetwork) -> list[int]:
-    """Exact compound-tensor size for every node-subset bitmask."""
-    n = len(net.nodes)
-    tsize, adj = _indexed(net, net.nodes)
-    size = [1] * (1 << n)
-    for mask in range(1, 1 << n):
-        i = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        shared = 1
-        for j, s in adj[i]:
-            if rest >> j & 1:
-                shared *= s
-        size[mask] = size[rest] * tsize[i] // (shared * shared)
-    return size
-
-
 def _split_cost(left: int, right: int, whole: int) -> int:
     """Exact cost of contracting two disjoint parts, from three sizes.
 
@@ -331,40 +319,40 @@ def dp_general_optimal(
     lowest bit low of S, s a proper submask of S - low; the tie rule is the
     minimal partition with the largest s. Both walks below visit s in
     descending order and keep only strict wins, so the rule holds on
-    either. A partition is priced only if it can strictly win, by the
-    module docstring's three tests: it is skipped when best(S1) + best(S2)
-    is at least the best so far minus |S| (a split costs at least |S|);
-    else, with gap the best so far minus that sum and a, b, c and g the bit
-    lengths of |S1|, |S2|, |S| and gap, when a + b + c - 3 >= 2g, read off
-    ``bits``; else when |S1| |S2| |S| >= gap^2, since cost^2 = |S1| |S2|
-    |S|; that also covers cost >= max(|S1|, |S2|). The bit test implies
-    the square test, so the partitions priced are those the square test
-    alone would price. A partition whose halves share no edge is priced as
-    an outer product; such splits do win occasionally, so nothing
-    restricts the search to connected halves.
+    either. A partition is priced only if it passes the module docstring's
+    three split tests (half-sum, bit lengths, square). A partition whose
+    halves share no edge is priced as an outer product; such splits do win
+    occasionally, so nothing restricts the search to connected halves.
 
-    Before the scan, UB is the exact cost of ``linearized_dp`` on the
+    One pass walks the masks in ascending order. Each mask's size is built
+    from S - low, a lower mask already sized, and the single node low; so
+    every mask is sized, as larger masks are built from it, but only lone
+    nodes and scanned masks store their bit length, the only ones a walk
+    reads. A lone node takes best 0 and starts its list in ``live``.
+
+    Before the pass, UB is the exact cost of ``linearized_dp`` on the
     ``mst-iks`` order (``heuristics.order_arbitrary``), both given this
     call's ``deadline``. Each scan starts from best so far = UB + 1, so a
     subset none of whose partitions costs at most UB keeps UB + 1 and no
     split. A proper subset S of two or more nodes is not scanned, and
     keeps UB + 1, when |S| + r(S) > UB, with r(S) = max(|S|, |full|) and
-    r(full) = 0. On a plan, the step forming S costs |S| shared >= |S|,
-    the step consuming S costs at least |S| too (the legs S shares with
-    its sibling are the sibling's), and the last step, whose result is the
-    full network, costs at least |full|; so every plan through S costs at
-    least best(S) + r(S) >= |S| + r(S). Proof that plans and costs are
-    those of the unpruned recurrence, by induction over |S| in nodes, of
-    (i) every stored value v(S) >= min(best(S), UB + 1), and (ii) v(S) =
-    best(S), with the same split, when best(S) + r(S) <= UB. (i): a value
-    other than UB + 1 is a partition's cost plus two half values at most
-    UB, each at least its half's best by (i). (ii): S is scanned, as
-    best(S) >= |S|; the halves A, B of its first minimal partition meet
-    best(A) + r(A) <= best(A) + cost(A, B) + r(S) <= best(S) + r(S), as
-    the cost is at least |A| and, for S = full, at least |full|, so their
-    values are exact; every other partition sums, by (i), to past UB or at
-    least its unpruned value, so none ties or beats it earlier. The full
-    network meets (ii), as best(full) <= UB.
+    r(full) = 0; |full| is the product of the open legs. On a plan, the
+    step forming S costs |S| shared >= |S|, the step consuming S costs at
+    least |S| too (the legs S shares with its sibling are the sibling's),
+    and the last step, whose result is the full network, costs at least
+    |full|; so every plan through S costs at least best(S) + r(S) >= |S| +
+    r(S). Proof that plans and costs are those of the unpruned recurrence,
+    by induction over |S| in nodes, of (i) every stored value v(S) >=
+    min(best(S), UB + 1), and (ii) v(S) = best(S), with the same split,
+    when best(S) + r(S) <= UB. (i): a value other than UB + 1 is a
+    partition's cost plus two half values at most UB, each at least its
+    half's best by (i). (ii): S is scanned, as best(S) >= |S|; the halves
+    A, B of its first minimal partition meet best(A) + r(A) <= best(A) +
+    cost(A, B) + r(S) <= best(S) + r(S), as the cost is at least |A| and,
+    for S = full, at least |full|, so their values are exact; every other
+    partition sums, by (i), to past UB or at least its unpruned value, so
+    none ties or beats it earlier. The full network meets (ii), as
+    best(full) <= UB.
 
     A mask is live when it is a single node or its scan ended with a value
     at most UB; ``live`` lists them in ascending order by lowest node. A
@@ -383,28 +371,37 @@ def dp_general_optimal(
     ub = linearized_dp(
         net, order_arbitrary(net, deadline=deadline)[0], deadline=deadline
     )[1]
-    size = _subset_sizes(net)
-    bits = [s.bit_length() for s in size]
+    tsize, adj = _indexed(net, nodes)
+    legs = [[(1 << j, s) for j, s in a] for a in adj]
     full = (1 << n) - 1
     # a proper subset S is skipped when |S| + max(|S|, |full|) > ub
-    cap = min(ub // 2, ub - size[full])
+    cap = min(ub // 2, ub - math.prod(net.open_mult.values()))
 
+    size = [1] * (full + 1)  # every mask's: a larger mask's is built from it
+    bits = [0] * (full + 1)  # read only for lone nodes and scanned masks
     best = [ub + 1] * (full + 1)
     split = [0] * (full + 1)
     live = []  # per lowest node: the live masks holding it, ascending
-    for i in range(n):
-        best[1 << i] = 0  # a lone tensor costs nothing
-        live.append([1 << i])
-    for mask in range(3, full + 1):
-        if mask & (mask - 1) == 0:
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        high = mask ^ low  # a lower mask, already sized
+        i = low.bit_length() - 1
+        shared = 1
+        for b, s in legs[i]:
+            if high & b:
+                shared *= s
+        whole = size[mask] = size[high] * tsize[i] // (shared * shared)
+        if not high:
+            best[mask] = 0  # a lone tensor costs nothing
+            bits[mask] = whole.bit_length()
+            live.append([mask])
             continue
-        whole = size[mask]
         if whole > cap and mask != full:
             continue  # on no plan within the bound: best stays ub + 1
         _check_deadline(deadline)
+        bits[mask] = whole.bit_length()
         wb = bits[mask] - 3
-        low = mask & -mask
-        halves = live[low.bit_length() - 1]
+        halves = live[i]
         # strict wins below ub + 1: of the minimal partitions, the one whose
         # half holding low is largest
         cur = ub + 1
@@ -429,7 +426,6 @@ def dp_general_optimal(
         else:
             # every half holding low, descending: rest ascends over the
             # nonempty submasks of high
-            high = mask ^ low
             rest = 0
             while rest != high:
                 rest = (rest - high) & high
@@ -480,18 +476,12 @@ def linearized_dp(
     often equal. Then two loops with no per-split branch: k < s starts from
     the seed's cost + 1, so that a tie with the seed wins, and k > s from
     the best so far (the seed's cost if no k < s won) with strict wins
-    only. A split is priced only if it can strictly win, by the module
-    docstring's three tests: it is skipped when part = best[i][k] +
-    best[k+1][j] is at least the best so far minus |whole| (a split costs
-    at least |whole|); else, with gap the best so far minus part, when
-    bl[i][k] + bl[k+1][j] + bl[i][j] - 3 >= 2 gap.bit_length(), bl holding
-    the sizes' bit lengths; else when |left| |right| |whole| >= gap^2,
-    since cost^2 = |left| |right| |whole|; that also covers cost >=
-    max(|left|, |right|). The bit test implies the square test, so the
-    splits priced are those the square test alone would price. Shifted
-    column copies of the size, bit-length and cost tables, nsz[j][k] =
-    sz[k+1][j], nbl[j][k] = bl[k+1][j] and nbest[j][k] = best[k+1][j], let
-    a split read both halves at the same index k.
+    only. A split is priced only if it passes the module docstring's three
+    split tests (half-sum, bit lengths, square), with [i, j] as S; bl
+    holds the sizes' bit lengths. Shifted column copies of the size,
+    bit-length and cost tables, nsz[j][k] = sz[k+1][j], nbl[j][k] =
+    bl[k+1][j] and nbest[j][k] = best[k+1][j], let a split read both
+    halves at the same index k.
 
     Before the scan, UB is ``order`` contracted left to right, n - 1 steps
     priced on the size table. An interval [i, j] whose size exceeds UB is

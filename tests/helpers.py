@@ -22,6 +22,7 @@ from functools import cmp_to_key, reduce
 
 from tnorder import TensorNetwork, fuse, rank_leq, single_entry
 from tnorder.network import id_key
+import instances
 
 # ---------------------------------------------------------------- fixtures
 
@@ -201,16 +202,11 @@ def random_connected_data(rng: random.Random, n: int, extra: int, open_hi=1):
 
 
 def ladder_data(layers: int):
-    """Layers {L2l, L2l+1}: each pair joined, and each node joined to both
-    nodes of the next layer; every edge has size 2. A loopy network whose
+    """``instances.ladder`` of ``layers`` pairs: a loopy network whose
     connected subsets far outnumber those of any of its spanning trees."""
-    ids = [f"L{i}" for i in range(2 * layers)]
-    edges = []
-    for a in range(0, 2 * layers, 2):
-        edges.append((ids[a], ids[a + 1], 2))
-        if a + 2 < 2 * layers:
-            edges += [(ids[x], ids[y], 2) for x in (a, a + 1) for y in (a + 2, a + 3)]
-    return dict.fromkeys(ids, 1), edges
+    data = instances.ladder(2 * layers)
+    nodes = dict.fromkeys((v["id"] for v in data["nodes"]), 1)
+    return nodes, [(e["u"], e["v"], e["size"]) for e in data["edges"]]
 
 
 def random_precedence_order(rng: random.Random, nodes, edges, root):

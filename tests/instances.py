@@ -6,7 +6,9 @@ library only, so that CI can run this file without the package:
 writes the network ``NAME`` (a key of ``INSTANCES``) to ``FILE`` as JSON.
 ``CLI_PINS`` in ``test_exact_at_scale.py`` builds its 256-node star and
 MPS path through ``write``, so CI's wall bounds time the very files
-tier-1 pins. CI also bounds the linear DP's memory on ``star-20``.
+tier-1 pins. CI also bounds the linear DP's memory on ``star-20`` and
+its refusal time on ``ladder-30``; ``helpers.ladder_data`` builds its
+ladders through ``ladder``.
 """
 
 import json
@@ -37,11 +39,29 @@ def mps_path(n: int) -> dict:
     }
 
 
+def ladder(n: int) -> dict:
+    # layers {L2l, L2l+1}: each pair joined, and each node joined to both
+    # nodes of the next layer; every edge has size 2. At n = 30: 32,285,016
+    # connected subsets but 147,436 on a spanning tree, so the linear DP
+    # refuses it only in its layer loop
+    ids = [f"L{i}" for i in range(n)]
+    edges = []
+    for a in range(0, n, 2):
+        edges.append((a, a + 1))
+        if a + 2 < n:
+            edges += [(x, y) for x in (a, a + 1) for y in (a + 2, a + 3)]
+    return {
+        "nodes": [{"id": v} for v in ids],
+        "edges": [{"u": ids[x], "v": ids[y], "size": 2} for x, y in edges],
+    }
+
+
 INSTANCES = {
     "star-20": lambda: star(20),
     "star-256": lambda: star(256),
     "mps-256": lambda: mps_path(256),
     "mps-20000": lambda: mps_path(20000),
+    "ladder-30": lambda: ladder(30),
 }
 
 

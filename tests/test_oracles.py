@@ -586,15 +586,23 @@ def test_lin_dp_prices_few_splits(monkeypatch):
     assert calls[0] == 2475
 
 
-def test_dp_general_prices_few_partitions(monkeypatch):
+def _loopy_twelve(seed):
+    """A random 12-node tree with loops on top, its edges, and the rng
+    that drew the loops."""
     n = 12
-    rng = random.Random(12)
-    tree = generate_random_tree_network(n, seed=12)
+    rng = random.Random(seed)
+    tree = generate_random_tree_network(n, seed=seed)
     edges = list(tree.edges)
     while len(edges) < n + 5:  # five loops on top of the tree
         u, v = rng.sample(tree.nodes, 2)
         if v not in tree.adjacency[u] and all({u, v} != {a, b} for a, b, _ in edges):
             edges.append((u, v, rng.randint(2, 10)))
+    return tree, edges, rng
+
+
+def test_dp_general_prices_few_partitions(monkeypatch):
+    n = 12
+    tree, edges, _ = _loopy_twelve(12)
     net = TensorNetwork(dict(tree.open_mult), edges)
     calls = _count_split_costs(monkeypatch)
     dp_general_optimal(net)
@@ -604,6 +612,19 @@ def test_dp_general_prices_few_partitions(monkeypatch):
     # the masks some plan within the bound can pass through; each scan
     # starts from UB + 1, so no mask's first split is priced unconditionally
     assert calls[0] == 1806
+
+    # open legs of 20-60 and one bond of size 1, so the last step can cost
+    # just |full|: UB - |full| < UB // 2 is the binding term of the cap on
+    # the proper subsets scanned. With |full| taken as 1 the count is 10872
+    tree, edges, rng = _loopy_twelve(1)
+    u, v, _ = edges[n // 2]
+    edges[n // 2] = (u, v, 1)
+    net = TensorNetwork({v: rng.randint(20, 60) for v in tree.nodes}, edges)
+    ub = linearized_dp(net, order_arbitrary(net)[0])[1]
+    assert ub - math.prod(net.open_mult.values()) < ub // 2
+    calls[0] = 0
+    dp_general_optimal(net)
+    assert calls[0] == 10333
 
 
 # ------------------------------------------------- two-layer dp_linear
