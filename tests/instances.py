@@ -4,8 +4,8 @@ library only, so that CI can run this file without the package:
     python tests/instances.py NAME FILE
 
 writes the network ``NAME`` (a key of ``INSTANCES``) to ``FILE`` as JSON.
-``CLI_PINS`` in ``test_exact_at_scale.py`` builds its 256-node star and
-MPS path through ``write``, so CI's wall bounds time the very files
+``CLI_PINS`` in ``test_exact_at_scale.py`` builds its 256-node star,
+MPS path and path of 10^6 bonds through ``write``, so CI's wall bounds time the very files
 tier-1 pins. CI also bounds the linear DP's memory on ``star-20`` and
 its refusal time on ``ladder-30``; ``helpers.ladder_data`` builds its
 ladders through ``ladder``.
@@ -39,6 +39,17 @@ def mps_path(n: int) -> dict:
     }
 
 
+def bonds_path(n: int) -> dict:
+    # a path of uniform 10^6 bonds and no open legs: every interval off
+    # its ends has size 10^12, and most intervals' best costs lie far past
+    # the interval DP's left-to-right bound
+    return {
+        "nodes": [{"id": f"T{i + 1}"} for i in range(n)],
+        "edges": [{"u": f"T{i + 1}", "v": f"T{i + 2}", "size": 10**6}
+                  for i in range(n - 1)],
+    }
+
+
 def ladder(n: int) -> dict:
     # layers {L2l, L2l+1}: each pair joined, and each node joined to both
     # nodes of the next layer; every edge has size 2. At n = 30: 32,285,016
@@ -60,6 +71,7 @@ INSTANCES = {
     "star-20": lambda: star(20),
     "star-256": lambda: star(256),
     "mps-256": lambda: mps_path(256),
+    "bonds-256": lambda: bonds_path(256),
     "mps-20000": lambda: mps_path(20000),
     "ladder-30": lambda: ladder(30),
 }

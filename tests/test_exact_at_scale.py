@@ -10,9 +10,9 @@ the exact cost of ``iks`` on six tree families up to 2048 nodes, of
 families and on a shuffled order of a dims {1, 2} tree up to 256 nodes,
 and of ``dp-general`` on loopy networks of 10, 12 and 16 nodes; and
 ``CLI_PINS``, which holds the printed costs and plan-file digests of
-``tnorder order`` on seven instances, built as the CI workflow built
-them up to 389d1ee; the 256-node star and MPS path come from
-``instances.py``, which CI runs to build the files it times. A change to
+``tnorder order`` on eight instances, built as the CI workflow built
+them up to 389d1ee; the 256-node star, MPS path and path of 10^6 bonds
+come from ``instances.py``, which CI runs to build the files it times. A change to
 the solvers that moves any plan byte or cost fails here.
 
 Regenerate the ledger, only for a change that means to move a plan and
@@ -267,6 +267,12 @@ CLI_PINS = {
         [["lin-dp"]],
         "865474340830747459630256979096255690217722562834215137031640911053089719014005425421983346150642133395614745138815878",
         "093701351672815fbf2e9c2e32262aa680de694ba20d8c80fc6af3e636fb6c0f",
+    ),
+    "bonds-256-lin-dp": (
+        _instance("bonds-256"),
+        [["lin-dp"]],
+        "254000001000000",
+        "bc3901913fb6afa49517b3bd38b8f79a8475ead7121958964c2bbbde93bff397",
     ),
     "gen-13-5-dp-general": (
         _gen("--n", "13", "--seed", "5"),
