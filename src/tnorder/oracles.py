@@ -53,11 +53,18 @@ unpruned best is at most UB keeps that value and its first-minimum
 split, since each of its splits whose halves both keep theirs is priced
 as before and every other split sums past UB; every other subset's best
 stays past UB. So plans, tie-breaks and costs are those of the unpruned
-recurrences. ``dp_general_optimal`` also skips a proper subset S with
-|S| + max(|S|, |full|) > UB, as the step consuming S costs at least |S|
-more and the last step at least |full|; its docstring gives the proof.
-It sizes, skips and scans its masks in one ascending pass: a mask is
-sized from the mask less its lowest node, which comes before it.
+recurrences. Both DPs hold every value past UB at UB + 1 and scan only
+the splits whose halves are live, valued at most UB: a split with a half
+held at UB + 1 sums past UB and can never win or tie.
+``dp_general_optimal`` walks per-node lists of live masks, and also skips
+a proper subset S with |S| + max(|S|, |full|) > UB, as the step consuming
+S costs at least |S| more and the last step at least |full|; its
+docstring gives the proof. It sizes, skips and scans its masks in one
+ascending pass: a mask is sized from the mask less its lowest node, which
+comes before it. ``linearized_dp`` keeps two O(n) lists that clip the
+split points of [i, j] to those whose halves are both live, and prices
+an interval's seed split only when its halves leave room for |S| under
+UB; its docstring gives the proof.
 
 The split loops of ``dp_general_optimal`` and ``linearized_dp`` price a
 split of S into halves A and B only when it can beat the best split found
@@ -78,15 +85,15 @@ those bits leave open, the square test itself: skipped when |A| |B| |S|
 are those the square test alone would price. The bound cost(A, B) >=
 max(|A|, |B|) (shared divides both sizes) needs no test of its own: when
 gap > 0 it only skips splits with cost >= gap, which the square test
-skips too. Only a split that strictly
-wins takes an isqrt for its cost. ``linearized_dp`` starts each
-interval's scan from a seed split, priced first, that is often the
-winner, so few later splits pass the half-sum, and ties go to the first
-minimum in the order of pricing every split. ``dp_general_optimal``
-starts from UB + 1 and keeps strict wins only; its tie rule, the minimal
-partition with the largest s (as its docstring names partitions), picks
-the first minimum of the unpruned recurrence. Either way plans are those
-of the unpruned recurrences.
+skips too. Only a split that strictly wins takes an isqrt for its cost.
+``linearized_dp`` starts each interval's scan from a seed split, priced
+first when its halves leave room under UB, that is often the winner, so
+few later splits pass the half-sum, and ties go to the first minimum in
+the order of pricing every split. ``dp_general_optimal`` starts from UB +
+1 and keeps strict wins only; its tie rule, the minimal partition with
+the largest s (as its docstring names partitions), picks the first
+minimum of the unpruned recurrence. Either way plans are those of the
+unpruned recurrences.
 """
 
 from __future__ import annotations
@@ -472,24 +479,46 @@ def linearized_dp(
 
     Splits of [i, j] at k (halves [i, k] and [k+1, j]) keep the first
     minimum over k. The scan is seeded with the winner s of [i, j-1] (i for
-    two nodes), priced exactly; the winners of neighbouring intervals are
-    often equal. Then two loops with no per-split branch: k < s starts from
-    the seed's cost + 1, so that a tie with the seed wins, and k > s from
-    the best so far (the seed's cost if no k < s won) with strict wins
-    only. A split is priced only if it passes the module docstring's three
-    split tests (half-sum, bit lengths, square), with [i, j] as S; bl
-    holds the sizes' bit lengths. Shifted column copies of the size,
-    bit-length and cost tables, nsz[j][k] = sz[k+1][j], nbl[j][k] =
-    bl[k+1][j] and nbest[j][k] = best[k+1][j], let a split read both
-    halves at the same index k.
+    two nodes); the winners of neighbouring intervals are often equal. Then
+    two loops with no per-split branch: k < s starts from the seed's bar +
+    1, so that a tie with the seed wins, and k > s from the best so far
+    (the bar if no k < s won) with strict wins only. A split is priced only
+    if it passes the module docstring's three split tests (half-sum, bit
+    lengths, square), with [i, j] as S; bl holds the sizes' bit lengths.
+    Shifted column copies of the size, bit-length and value tables,
+    nsz[j][k] = sz[k+1][j], nbl[j][k] = bl[k+1][j] and nbest[j][k] =
+    best[k+1][j], let a split read both halves at the same index k.
 
     Before the scan, UB is ``order`` contracted left to right, n - 1 steps
-    priced on the size table. An interval [i, j] whose size exceeds UB is
-    not scanned: as the module docstring argues, forming it costs at least
-    its size, so it gets best = UB + 1 and every interval whose best is at
-    most UB keeps its value and split. It takes split[i][j] = split[i][j-1],
-    so the seed of [i, j+1] stays inside that interval. ``deadline`` is
-    checked once per interval length.
+    priced on the size table, and cap = UB + 1: every interval value past
+    UB is held at cap. The seed is priced only when its halves' values
+    and |S| sum to at most UB, as any split of S costs at least |S|; its
+    bar is that cost if at most UB, else cap. Two O(n) lists bound the live
+    splits: hi[i], the last k with best[i][k] <= UB, and lo[j], the first k
+    with best[k+1][j] <= UB, set to j and to i - 1 when the scan of [i, j]
+    ends at most UB. Both loops are clipped to [lo[j], hi[i]]. An interval
+    whose size exceeds UB, or whose range is empty, is not scanned: it
+    takes cap and split[i][j] = split[i][j-1], so the seed of [i, j+1]
+    stays inside that interval.
+
+    Proof that plans and costs are those of the unpruned recurrence, by
+    induction over the interval length, of (i) every stored value v(S) >=
+    min(best(S), UB + 1), and (ii) v(S) = best(S), with the same
+    first-minimum split, when best(S) <= UB. (i): a value is cap or a
+    priced split's sum, whose halves hold values below cap, so real trees'
+    costs by (i); the sum is then a real tree's cost for S. (ii): |S| <=
+    best(S) <= UB, and the halves of the first minimal split k* have best
+    at most best(S), so by (ii) their values are exact, they are live and
+    k* lies in the range. A split outside the range has a half valued past
+    UB, so by (i) it sums past UB and can never win or tie; every other
+    split sums to at least its unpruned cost. If k* = s, the seed sums to
+    best(S), so it is priced and its bar is best(S), which no later split
+    beats and no earlier one reaches. Else k* wins its loop, as every split
+    before it costs more than best(S): left of s the loop starts from the
+    bar + 1, and the bar is at least best(S); right of s it starts from the
+    bar or a split left of s, each before k*. The full order meets (ii), as
+    UB is one of its trees' costs. ``deadline`` is checked once per
+    interval length.
     """
     _check_bound(net, "lin-dp")
     n = len(net.nodes)
@@ -520,33 +549,45 @@ def linearized_dp(
             size = sz_i[j] = nsz[j][i - 1] = size * tsize[j] // (shared * shared)
             bl_i[j] = nbl[j][i - 1] = size.bit_length()
 
-    # the bound: the order contracted left to right
+    # the bound: the order contracted left to right; every value past it is
+    # held at cap
     sz_0 = sz[0]
     ub = sum(_split_cost(sz_0[k - 1], tsize[k], sz_0[k]) for k in range(1, n))
+    cap = ub + 1
     best = [[0] * n for _ in range(n)]
     nbest = [[0] * n for _ in range(n)]
     # split[i][i] = i, the seed of [i, i + 1]
     split = [[i] * n for i in range(n)]
+    # the live range: hi[i], the last k with best[i][k] <= ub, and lo[j], the
+    # first k with best[k + 1][j] <= ub, among the intervals scanned so far
+    hi = list(range(n))
+    lo = [j - 1 for j in range(n)]
     for length in range(2, n + 1):
         _check_deadline(deadline)
         for i in range(n - length + 1):
             j = i + length - 1
             sz_i, bl_i, best_i, split_i = sz[i], bl[i], best[i], split[i]
             whole = sz_i[j]
-            if whole > ub:  # forming [i, j] alone costs past the bound
-                best_i[j] = nbest[j][i - 1] = ub + 1
+            first, last = lo[j], hi[i]
+            if whole > ub or first > last:  # no split within the bound
+                best_i[j] = nbest[j][i - 1] = cap
                 split_i[j] = split_i[j - 1]  # keeps [i, j + 1]'s seed in range
                 continue
             nsz_j, nbl_j, nbest_j = nsz[j], nbl[j], nbest[j]
             wb = bl_i[j] - 3
             at = seed = split_i[j - 1]
-            seed_cost = best_i[seed] + nbest_j[seed] + _split_cost(
-                sz_i[seed], nsz_j[seed], whole
-            )
-            # left of the seed a tie with it wins, so the bar is its cost + 1
-            cur = seed_cost + 1
+            # the seed is priced only when its halves leave room for whole;
+            # its bar is its cost if at most ub, else cap
+            part = best_i[seed] + nbest_j[seed]
+            bar = cap
+            if part + whole <= ub:
+                bar = part + _split_cost(sz_i[seed], nsz_j[seed], whole)
+                if bar > ub:
+                    bar = cap
+            # left of the seed a tie with it wins, so the scan starts at bar + 1
+            cur = bar + 1
             lim = cur - whole
-            for k in range(i, seed):
+            for k in range(first, seed if seed <= last else last + 1):
                 part = best_i[k] + nbest_j[k]
                 if part >= lim:
                     continue  # a split costs at least whole
@@ -560,10 +601,10 @@ def linearized_dp(
                 lim = cur - whole
                 at = k
             if at == seed:
-                cur = seed_cost
+                cur = bar
                 lim = cur - whole
             # right of it only a strict win
-            for k in range(seed + 1, j):
+            for k in range(seed + 1 if seed >= first else first, last + 1):
                 part = best_i[k] + nbest_j[k]
                 if part >= lim:
                     continue  # a split costs at least whole
@@ -578,6 +619,9 @@ def linearized_dp(
                 at = k
             best_i[j] = nbest[j][i - 1] = cur
             split_i[j] = at
+            if cur <= ub:
+                hi[i] = j
+                lo[j] = i - 1
 
     def build(i: int, j: int) -> TreeNode:
         if i == j:

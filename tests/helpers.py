@@ -185,9 +185,11 @@ def random_tree_data(rng: random.Random, n: int, dim_lo=2, dim_hi=10,
     return nodes, edges
 
 
-def random_connected_data(rng: random.Random, n: int, extra: int, open_hi=1):
-    """A random tree plus ``extra`` chords between distinct unjoined pairs."""
-    nodes, edges = random_tree_data(rng, n, dim_lo=2, dim_hi=6, open_hi=open_hi)
+def random_connected_data(rng: random.Random, n: int, extra: int, open_hi=1,
+                          dim_hi=6):
+    """A random tree plus ``extra`` chords between distinct unjoined pairs,
+    every edge of size 2..dim_hi."""
+    nodes, edges = random_tree_data(rng, n, dim_lo=2, dim_hi=dim_hi, open_hi=open_hi)
     present = {frozenset((u, v)) for u, v, _ in edges}
     ids = list(nodes)
     added = 0
@@ -196,7 +198,7 @@ def random_connected_data(rng: random.Random, n: int, extra: int, open_hi=1):
         if frozenset((u, v)) in present:
             continue
         present.add(frozenset((u, v)))
-        edges.append((u, v, rng.randint(2, 6)))
+        edges.append((u, v, rng.randint(2, dim_hi)))
         added += 1
     return nodes, edges
 

@@ -34,6 +34,7 @@ from helpers import (
     shaped_tree,
     to_network,
 )
+import instances
 
 
 def big_path(n):
@@ -560,6 +561,23 @@ def test_lin_dp_matches_the_unpruned_recurrence_on_stars_and_spiders(
     assert linearized_dp(net, order) == _ref_linearized_dp(net, tuple(order))
 
 
+@pytest.mark.parametrize("loops", [False, True])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_lin_dp_matches_the_unpruned_recurrence_at_the_workload_shape(seed, loops):
+    # random trees and loopy networks of dims 2-10 with a connected random
+    # base order, as the exact-baselines workload draws them: ties are rare,
+    # so the left-to-right bound is loose and many values are held past it
+    rng = random.Random(seed)
+    n = rng.randint(32, 64)
+    if loops:
+        nodes, edges = random_connected_data(rng, n, n // 4, dim_hi=10)
+    else:
+        nodes, edges = random_tree_data(rng, n)
+    net = to_network(nodes, edges)
+    order = random_precedence_order(rng, net.nodes, net.edges, rng.choice(net.nodes))
+    assert linearized_dp(net, order) == _ref_linearized_dp(net, tuple(order))
+
+
 def _count_split_costs(monkeypatch):
     calls = [0]
     priced = oracles._split_cost
@@ -581,9 +599,23 @@ def test_lin_dp_prices_few_splits(monkeypatch):
     splits = n * (n * n - 1) // 6
     assert calls[0] <= splits // 4
     # exactly the n - 1 steps of the left-to-right bound, then each interval's
-    # seed split and the strict winners, in intervals no larger than the
-    # bound: any change to the split tests keeps this count
-    assert calls[0] == 2475
+    # seed split, priced only when its halves leave room under the bound,
+    # and the strict winners within the live range: any change to the split
+    # tests keeps this count
+    assert calls[0] == 2391
+
+
+def test_lin_dp_prices_few_splits_past_its_bound(monkeypatch):
+    # a path of 10^6 bonds: most intervals' values lie past the left-to-right
+    # bound, so they are held at UB + 1, few seeds are priced and few splits
+    # are live; with exact values kept past the bound this priced 33,149
+    data = instances.INSTANCES["bonds-256"]()
+    net = TensorNetwork([v["id"] for v in data["nodes"]],
+                        [(e["u"], e["v"], e["size"]) for e in data["edges"]])
+    order, _ = order_arbitrary(net)
+    calls = _count_split_costs(monkeypatch)
+    assert linearized_dp(net, order)[1] == 254 * 10**12 + 10**6
+    assert calls[0] == 1018
 
 
 def _loopy_twelve(seed):
@@ -611,11 +643,11 @@ def test_dp_general_prices_few_partitions(monkeypatch):
     # the bound's lin-dp pricing, then the strict winners below UB + 1 in
     # the masks some plan within the bound can pass through; each scan
     # starts from UB + 1, so no mask's first split is priced unconditionally
-    assert calls[0] == 1806
+    assert calls[0] == 1802
 
     # open legs of 20-60 and one bond of size 1, so the last step can cost
     # just |full|: UB - |full| < UB // 2 is the binding term of the cap on
-    # the proper subsets scanned. With |full| taken as 1 the count is 10872
+    # the proper subsets scanned. With |full| taken as 1 the count is 10871
     tree, edges, rng = _loopy_twelve(1)
     u, v, _ = edges[n // 2]
     edges[n // 2] = (u, v, 1)
@@ -624,7 +656,7 @@ def test_dp_general_prices_few_partitions(monkeypatch):
     assert ub - math.prod(net.open_mult.values()) < ub // 2
     calls[0] = 0
     dp_general_optimal(net)
-    assert calls[0] == 10333
+    assert calls[0] == 10332
 
 
 # ------------------------------------------------- two-layer dp_linear
