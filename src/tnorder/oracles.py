@@ -134,8 +134,9 @@ DP_GENERAL_MAX_NODES = 16
 # O(n^3) over big integers, on the iks order: 0.5-0.6 s on a random 256-node
 # tree, 0.2-0.3 s on a 256-node star and on a two-leg spider (dims 1-10, open
 # legs 1-5), 0.6-0.8 s on a 256-node MPS path (open legs 2-4, bonds 2-10),
-# 1.6-1.9 s on one of 10^6 bonds, 8.2-8.6 s on a 384-node one (measured
-# together, three runs each, shared 2-core AMD EPYC host, Python 3.11.7)
+# 1.6-2.1 s on one of 10^6 bonds, 8.2-9.1 s on a 384-node one, but 0.02-0.03 s
+# on a 256-node path of 10^6 bonds with no open legs, whose interval values
+# mostly lie past the bound (shared 2-core AMD EPYC host, Python 3.11.7)
 LIN_DP_MAX_NODES = 256
 
 

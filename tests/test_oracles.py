@@ -606,9 +606,10 @@ def test_lin_dp_prices_few_splits(monkeypatch):
 
 
 def test_lin_dp_prices_few_splits_past_its_bound(monkeypatch):
-    # a path of 10^6 bonds: most intervals' values lie past the left-to-right
-    # bound, so they are held at UB + 1, few seeds are priced and few splits
-    # are live; with exact values kept past the bound this priced 33,149
+    # a path of 10^6 bonds and no open legs: most intervals' values lie past
+    # the left-to-right bound, so they are held at UB + 1, few seeds are
+    # priced and few splits are live; this count, not a wall clock, holds
+    # that skip
     data = instances.INSTANCES["bonds-256"]()
     net = TensorNetwork([v["id"] for v in data["nodes"]],
                         [(e["u"], e["v"], e["size"]) for e in data["edges"]])
