@@ -505,21 +505,21 @@ def linearized_dp(
     Proof that plans and costs are those of the unpruned recurrence, by
     induction over the interval length, of (i) every stored value v(S) >=
     min(best(S), UB + 1), and (ii) v(S) = best(S), with the same
-    first-minimum split, when best(S) <= UB. (i): a value is cap or a
-    priced split's sum, whose halves hold values below cap, so real trees'
-    costs by (i); the sum is then a real tree's cost for S. (ii): |S| <=
-    best(S) <= UB, and the halves of the first minimal split k* have best
-    at most best(S), so by (ii) their values are exact, they are live and
-    k* lies in the range. A split outside the range has a half valued past
-    UB, so by (i) it sums past UB and can never win or tie; every other
-    split sums to at least its unpruned cost. If k* = s, the seed sums to
-    best(S), so it is priced and its bar is best(S), which no later split
-    beats and no earlier one reaches. Else k* wins its loop, as every split
-    before it costs more than best(S): left of s the loop starts from the
-    bar + 1, and the bar is at least best(S); right of s it starts from the
-    bar or a split left of s, each before k*. The full order meets (ii), as
-    UB is one of its trees' costs. ``deadline`` is checked once per
-    interval length.
+    first-minimum split, when best(S) <= UB. (i): a value is cap or a priced
+    split's sum; the halves of a priced split hold values below cap, each a
+    real tree's cost by induction, so the sum is a real tree's cost for S,
+    at least best(S). (ii): |S| <= best(S) <= UB, and the halves of the
+    first minimal split k* have best at most best(S), so by (ii) their
+    values are exact, they are live and k* lies in the range. A split
+    outside the range has a half valued past UB, so by (i) it sums past UB
+    and can never win or tie; every other split sums, by (i), past UB or to
+    at least its unpruned cost. If k* = s, the seed sums to best(S), so it
+    is priced and its bar is best(S), which no later split beats and no
+    earlier one reaches. Else k* wins its loop, as every split before it
+    costs more than best(S): left of s the loop starts from the bar + 1, and
+    the bar is at least best(S); right of s it starts from the bar or a
+    split left of s, each before k*. The full order meets (ii), as UB is one
+    of its trees' costs. ``deadline`` is checked once per interval length.
     """
     _check_bound(net, "lin-dp")
     n = len(net.nodes)

@@ -5,10 +5,10 @@ library only, so that CI can run this file without the package:
 
 writes the network ``NAME`` (a key of ``INSTANCES``) to ``FILE`` as JSON.
 ``CLI_PINS`` in ``test_exact_at_scale.py`` builds its 256-node star,
-MPS path and path of 10^6 bonds through ``write``, so CI's wall bounds time the very files
-tier-1 pins. CI also bounds the linear DP's memory on ``star-20`` and
-its refusal time on ``ladder-30``; ``helpers.ladder_data`` builds its
-ladders through ``ladder``.
+MPS path and path of 10^6 bonds through ``write``, so CI's wall bounds
+time the very files tier-1 pins. CI also bounds the linear DP's memory
+on ``star-20`` and its refusal time on ``ladder-30``;
+``helpers.ladder_data`` builds its ladders through ``ladder``.
 """
 
 import json

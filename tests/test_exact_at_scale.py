@@ -12,8 +12,8 @@ and of ``dp-general`` on loopy networks of 10, 12 and 16 nodes; and
 ``CLI_PINS``, which holds the printed costs and plan-file digests of
 ``tnorder order`` on eight instances, built as the CI workflow built
 them up to 389d1ee; the 256-node star, MPS path and path of 10^6 bonds
-come from ``instances.py``, which CI runs to build the files it times. A change to
-the solvers that moves any plan byte or cost fails here.
+come from ``instances.py``, which CI runs to build the files it times.
+A change to the solvers that moves any plan byte or cost fails here.
 
 Regenerate the ledger, only for a change that means to move a plan and
 explains why, with ``PYTHONPATH=src:tests python tests/test_exact_at_scale.py``.
