@@ -5,8 +5,9 @@ library only, so that CI can run this file without the package:
 
 writes the network ``NAME`` (a key of ``INSTANCES``) to ``FILE`` as JSON.
 ``CLI_PINS`` in ``test_exact_at_scale.py`` builds its 256-node star,
-MPS path and path of 10^6 bonds through ``write``, so CI's wall bounds
-time the very files tier-1 pins. CI also bounds the linear DP's memory
+MPS path and path of 10^6 bonds, and its 16-node loopy network of bonds
+up to 10^6, through ``write``, so CI's wall bounds time the very files
+tier-1 pins. CI also bounds the linear DP's memory
 on ``star-20`` and its refusal time on ``ladder-30``;
 ``helpers.ladder_data`` builds its ladders through ``ladder``.
 """
@@ -50,6 +51,26 @@ def bonds_path(n: int) -> dict:
     }
 
 
+def huge_loopy(n: int) -> dict:
+    # a seeded random tree plus 4 chords, open legs 1-4 and bonds up to
+    # 10^6: the general subset DP at its bound on big integers, where a
+    # split's sizes are many words long
+    rng = random.Random(f"huge/{n}")
+    ids = [f"T{i + 1}" for i in range(n)]
+    pairs = [(ids[i], ids[rng.randrange(i)]) for i in range(1, n)]
+    seen = {frozenset(p) for p in pairs}
+    while len(pairs) < n + 3:
+        u, v = rng.sample(ids, 2)
+        if frozenset((u, v)) not in seen:
+            seen.add(frozenset((u, v)))
+            pairs.append((u, v))
+    opens = [rng.randint(1, 4) for _ in ids]
+    return {
+        "nodes": [{"id": v, "open": o} for v, o in zip(ids, opens)],
+        "edges": [{"u": u, "v": v, "size": rng.randint(2, 10**6)} for u, v in pairs],
+    }
+
+
 def ladder(n: int) -> dict:
     # layers {L2l, L2l+1}: each pair joined, and each node joined to both
     # nodes of the next layer; every edge has size 2. At n = 30: 32,285,016
@@ -72,6 +93,7 @@ INSTANCES = {
     "star-256": lambda: star(256),
     "mps-256": lambda: mps_path(256),
     "bonds-256": lambda: bonds_path(256),
+    "huge-loopy-16": lambda: huge_loopy(16),
     "mps-20000": lambda: mps_path(20000),
     "ladder-30": lambda: ladder(30),
 }

@@ -10,9 +10,10 @@ the exact cost of ``iks`` on six tree families up to 2048 nodes, of
 families and on a shuffled order of a dims {1, 2} tree up to 256 nodes,
 and of ``dp-general`` on loopy networks of 10, 12 and 16 nodes; and
 ``CLI_PINS``, which holds the printed costs and plan-file digests of
-``tnorder order`` on eight instances, built as the CI workflow built
-them up to 389d1ee; the 256-node star, MPS path and path of 10^6 bonds
-come from ``instances.py``, which CI runs to build the files it times.
+``tnorder order`` on nine instances, built as the CI workflow built
+them up to 389d1ee; the 256-node star, MPS path and path of 10^6 bonds,
+and the 16-node loopy network of bonds up to 10^6, come from
+``instances.py``, which CI runs to build the files it times.
 A change to the solvers that moves any plan byte or cost fails here.
 
 Regenerate the ledger, only for a change that means to move a plan and
@@ -279,6 +280,12 @@ CLI_PINS = {
         [["dp-general"]],
         "1719",
         "298572fc414bbef113e00785bc5345003460a19c1af6fc1a6abbcdbb1dfc21e7",
+    ),
+    "huge-loopy-16-dp-general": (
+        _instance("huge-loopy-16"),
+        [["dp-general"]],
+        "84729419396742923115850996446",
+        "54c768f02b596bed5842a46c0afea5abf93482ea794a0335d19bd39565845024",
     ),
 }
 
