@@ -82,13 +82,6 @@ def _check_positive_int(value: Any, what: str) -> None:
         raise ValidationError(f"{what} must be >= 1, got {_echo(value)}")
 
 
-def _check_node_id(value: Any) -> None:
-    if type(value) is not int and type(value) is not str:
-        raise ValidationError(
-            f"node id must be an integer or string, got {_echo(value)}"
-        )
-
-
 _ID_TYPES = frozenset((int, str))
 
 
@@ -133,7 +126,9 @@ class TensorNetwork:
         adjacency: dict[NodeId, dict[NodeId, int]] = {}
         for v, mult in items:
             if type(v) not in _ID_TYPES:
-                _check_node_id(v)
+                raise ValidationError(
+                    f"node id must be an integer or string, got {_echo(v)}"
+                )
             if v in open_mult:
                 raise ValidationError(f"duplicate node id {_echo(v)}")
             if type(mult) is not int or mult < 1:
@@ -253,7 +248,9 @@ def parse_network(text: str) -> TensorNetwork:
         except (KeyError, TypeError):
             raise ValidationError(f"nodes[{i}] is malformed: {_echo(record)}") from None
         if type(v) not in _ID_TYPES:
-            _check_node_id(v)
+            raise ValidationError(
+                f"node id must be an integer or string, got {_echo(v)}"
+            )
         if v in nodes:
             raise ValidationError(f"duplicate node id {_echo(v)}")
         nodes[v] = record.get("open", 1)

@@ -45,47 +45,43 @@ subset whose splits they scan, ``linearized_dp`` once per interval length.
 ``dp_general_optimal`` and ``linearized_dp`` first take an upper bound UB,
 the exact cost of a real plan: for ``linearized_dp`` its base order
 contracted left to right, for ``dp_general_optimal`` ``linearized_dp`` on
-the ``mst-iks`` order. Every subset or interval S of two or more nodes
-with |S| > UB, strictly, is then skipped before its splits are scanned
-and gets best = UB + 1: forming S costs |S| shared >= |S| > UB, and the
-optimum is at most UB. By induction over |S| in nodes, a subset whose
-unpruned best is at most UB keeps that value and its first-minimum
-split, since each of its splits whose halves both keep theirs is priced
-as before and every other split sums past UB; every other subset's best
-stays past UB. So plans, tie-breaks and costs are those of the unpruned
-recurrences. Both DPs hold every value past UB at UB + 1 and scan only
-the splits whose halves are live, valued at most UB: a split with a half
-held at UB + 1 sums past UB and can never win or tie.
-``dp_general_optimal`` walks per-node lists of live masks, and also skips
-a proper subset S with |S| + max(|S|, |full|) > UB, as the step consuming
-S costs at least |S| more and the last step at least |full|; its
-docstring gives the proof. It sizes, skips and scans its masks in one
-ascending pass: a mask is sized from the mask less its lowest node, which
-comes before it. ``linearized_dp`` keeps two O(n) lists that clip the
-split points of [i, j] to those whose halves are both live, and prices
-an interval's seed split only when its halves leave room for |S| under
-UB; its docstring gives the proof.
+the ``mst-iks`` order. Both hold every value past UB at UB + 1 and scan
+only the splits whose halves are valued at most UB; their docstrings give
+the rules and the proofs that plans, tie-breaks and costs stay those of
+the unpruned recurrences.
 
-The split loops of ``dp_general_optimal`` and ``linearized_dp`` price a
-split of S into halves A and B only when it can beat the best split found
-so far. Each split is tested in three steps, each exact and each skipping
-only splits that cannot strictly win. First the half-sum: with
+The split loops of both DPs price a split of S into halves A and B only
+when it can beat the best split found so far. Each test is exact and
+skips only splits that cannot strictly win. First the half-sum: with
 shared >= 1 the product of the legs A and B share, a split costs |A| |B|
 / shared = |S| shared >= |S|, so with part = best(A) + best(B) it is
 skipped when part >= best so far - |S|, before any size is read; that
-threshold moves only when a split wins. Then bit lengths: since |S| =
+threshold moves only when a split wins. Last the square: since |S| =
 |A| |B| / shared^2, cost(A, B)^2 = |A| |B| |S|, and with gap = best so
-far - part the split cannot win when |A| |B| |S| >= gap^2. A positive
-integer of b bits lies in [2^(b-1), 2^b), so with a, b, c and g the bit
-lengths of |A|, |B|, |S| and gap, |A| |B| |S| >= 2^(a+b+c-3) and gap^2 <
-2^(2g): the split is skipped when a + b + c - 3 >= 2g, from small
-integers held in tables, with no product formed. Last, on the splits
-those bits leave open, the square test itself: skipped when |A| |B| |S|
->= gap^2. The bit test implies the square test, so the splits priced
-are those the square test alone would price. The bound cost(A, B) >=
-max(|A|, |B|) (shared divides both sizes) needs no test of its own: when
-gap > 0 it only skips splits with cost >= gap, which the square test
-skips too. Only a split that strictly wins takes an isqrt for its cost.
+far - part the split cannot win when |A| |B| |S| >= gap^2. The bound
+cost(A, B) >= max(|A|, |B|) (shared divides both sizes) needs no test of
+its own: when gap > 0 it only skips splits with cost >= gap, which the
+square test skips too. Only a split that strictly wins takes an isqrt
+for its cost.
+
+``linearized_dp`` runs three tests, a bit-length test between those two:
+a positive integer of b bits lies in [2^(b-1), 2^b), so with a, b, c and
+g the bit lengths of |A|, |B|, |S| and gap, |A| |B| |S| >= 2^(a+b+c-3)
+and gap^2 < 2^(2g), and the split is skipped when a + b + c - 3 >= 2g,
+from small integers held in tables, with no product formed. It implies
+the square test, so the splits priced are those the square test alone
+would price. It pays there, as many splits pass the half-sum and sizes
+are long: on the iks order of the 256-node star, intervals reach sizes
+of 910 bits, and on the 256-node MPS path it settles 1.71 million of the
+1.99 million splits that pass the half-sum. ``dp_general_optimal`` runs
+two: its live halves leave few splits past the half-sum, about 750 per
+op of the ``exact-baselines`` workload, too few for a table of 2^n bit
+lengths to save time on. The trade is on dense 16-node networks: on the
+plan ledger's ``dp-general/loopy/16/1``, 644,133 splits pass the
+half-sum, the bit test would settle 571,405 of them, and without it the
+DP takes 1.07-1.15 times as long (in process, shared 2-core host, Python
+3.11.7).
+
 ``linearized_dp`` starts each interval's scan from a seed split, priced
 first when its halves leave room under UB, that is often the winner, so
 few later splits pass the half-sum, and ties go to the first minimum in
@@ -105,6 +101,7 @@ from bisect import bisect_left
 from itertools import filterfalse
 from typing import Sequence
 
+from .heuristics import order_arbitrary
 from .network import NodeId, SizeBoundError, TensorNetwork
 from .plans import LinearPlan, TreeNode, validate_plan
 
@@ -212,8 +209,6 @@ def dp_linear_optimal(
     always reached. Plans and costs are those of the unpruned DP.
     """
     _check_bound(net, "dp-linear")
-    from .heuristics import order_arbitrary  # imported by the exact DPs alone
-
     n = len(net.nodes)
     nodes = net.nodes
     # the bound: the mst-iks order, a real outer-product-free plan's cost
@@ -328,15 +323,14 @@ def dp_general_optimal(
     minimal partition with the largest s. Both walks below visit s in
     descending order and keep only strict wins, so the rule holds on
     either. A partition is priced only if it passes the module docstring's
-    three split tests (half-sum, bit lengths, square). A partition whose
-    halves share no edge is priced as an outer product; such splits do win
-    occasionally, so nothing restricts the search to connected halves.
+    two split tests (half-sum, square). A partition whose halves share no
+    edge is priced as an outer product; such splits do win occasionally,
+    so nothing restricts the search to connected halves.
 
     One pass walks the masks in ascending order. Each mask's size is built
     from S - low, a lower mask already sized, and the single node low; so
-    every mask is sized, as larger masks are built from it, but only lone
-    nodes and scanned masks store their bit length, the only ones a walk
-    reads. A lone node takes best 0 and starts its list in ``live``.
+    every mask is sized, as larger masks are built from it. A lone node
+    takes best 0 and starts its list in ``live``.
 
     Before the pass, UB is the exact cost of ``linearized_dp`` on the
     ``mst-iks`` order (``heuristics.order_arbitrary``), both given this
@@ -371,8 +365,6 @@ def dp_general_optimal(
     submask walk, as l's list is long against their few partitions.
     """
     _check_bound(net, "dp-general")
-    from .heuristics import order_arbitrary  # imported by dp-general alone
-
     n = len(net.nodes)
     nodes = net.nodes
     # the bound: lin-dp on the mst-iks order, a real plan's exact cost
@@ -386,7 +378,6 @@ def dp_general_optimal(
     cap = min(ub // 2, ub - math.prod(net.open_mult.values()))
 
     size = [1] * (full + 1)  # every mask's: a larger mask's is built from it
-    bits = [0] * (full + 1)  # read only for lone nodes and scanned masks
     best = [ub + 1] * (full + 1)
     split = [0] * (full + 1)
     live = []  # per lowest node: the live masks holding it, ascending
@@ -401,14 +392,11 @@ def dp_general_optimal(
         whole = size[mask] = size[high] * tsize[i] // (shared * shared)
         if not high:
             best[mask] = 0  # a lone tensor costs nothing
-            bits[mask] = whole.bit_length()
             live.append([mask])
             continue
         if whole > cap and mask != full:
             continue  # on no plan within the bound: best stays ub + 1
         _check_deadline(deadline)
-        bits[mask] = whole.bit_length()
-        wb = bits[mask] - 3
         halves = live[i]
         # strict wins below ub + 1: of the minimal partitions, the one whose
         # half holding low is largest
@@ -423,8 +411,6 @@ def dp_general_optimal(
                 if part >= lim:
                     continue  # a split costs at least whole
                 gap = cur - part
-                if bits[sub] + bits[rest] + wb >= 2 * gap.bit_length():
-                    continue  # left * right * whole >= 2^(2 bits of gap) > gap^2
                 left, right = size[sub], size[rest]
                 if left * right * whole >= gap * gap:
                     continue  # cost^2 = left * right * whole
@@ -442,8 +428,6 @@ def dp_general_optimal(
                 if part >= lim:
                     continue  # a split costs at least whole
                 gap = cur - part
-                if bits[sub] + bits[rest] + wb >= 2 * gap.bit_length():
-                    continue  # left * right * whole >= 2^(2 bits of gap) > gap^2
                 left, right = size[sub], size[rest]
                 if left * right * whole >= gap * gap:
                     continue  # cost^2 = left * right * whole

@@ -83,6 +83,18 @@ def test_importing_bench_loads_no_dataclasses():
     assert run.stdout.strip() == "False"
 
 
+def test_importing_bench_loads_the_dp_bound():
+    # the subset DPs' bound is imported with them, so no DP call that
+    # run_benchmark times pays for importing it
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tnorder.bench; print('tnorder.heuristics' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "True"
+
+
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         tnorder.no_such_name

@@ -449,7 +449,7 @@ def _tie_heavy_network(rng, n, dim_hi, extra_edges, pow2=False):
     """Random tree plus loop edges; ids mixed int/str in shuffled order,
     many size-1 edges and open legs so that split costs tie often. With
     ``pow2`` every dim is 1, 2 or 4, so every size is a power of two and
-    sizes equal the lower bound 2^(bits - 1) that the DPs' bit-length test
+    sizes equal the lower bound 2^(bits - 1) that lin-dp's bit-length test
     takes for them."""
     ids = [i if rng.random() < 0.5 else f"t{i}" for i in range(n)]
     rng.shuffle(ids)
@@ -478,8 +478,8 @@ def _tie_heavy_network(rng, n, dim_hi, extra_edges, pow2=False):
     st.integers(0, 6),
     st.booleans(),
 )
-# a bit-length test that takes sizes one bit larger than 2^(bits - 1) skips
-# dp-general's winner on this network
+# a pruned-vs-unpruned case: a split test that takes sizes one bit larger
+# than 2^(bits - 1) skips dp-general's winner on this network
 @example(2141, 6, 3, 6, False)
 def test_pruned_dps_match_unpruned_recurrences(seed, n, dim_hi, extra, pow2):
     # trees, costs and tie-breaks are exactly those of pricing every split
