@@ -7,9 +7,9 @@ writes the network ``NAME`` (a key of ``INSTANCES``) to ``FILE`` as JSON.
 ``CLI_PINS`` in ``test_exact_at_scale.py`` builds its 256-node star,
 MPS path and path of 10^6 bonds, and its 16-node loopy network of bonds
 up to 10^6, through ``write``, so CI's wall bounds time the very files
-tier-1 pins. CI also bounds the linear DP's memory
-on ``star-20`` and its refusal time on ``ladder-30``;
-``helpers.ladder_data`` builds its ladders through ``ladder``.
+tier-1 pins. CI also bounds the linear DP's memory on ``star-20`` and
+its refusal time on ``ladder-30``; ``helpers.ladder_data`` builds its
+ladders through ``ladder``.
 """
 
 import json
@@ -53,13 +53,14 @@ def bonds_path(n: int) -> dict:
 
 def huge_loopy(n: int) -> dict:
     # a seeded random tree plus 4 chords, open legs 1-4 and bonds up to
-    # 10^6: the general subset DP at its bound on big integers, where a
-    # split's sizes are many words long
+    # 10^6: the general subset DP at its bound on big integers. At n = 16
+    # the optimum takes 97 bits and the products its square test forms up
+    # to 259
     rng = random.Random(f"huge/{n}")
     ids = [f"T{i + 1}" for i in range(n)]
     pairs = [(ids[i], ids[rng.randrange(i)]) for i in range(1, n)]
     seen = {frozenset(p) for p in pairs}
-    while len(pairs) < n + 3:
+    while len(pairs) < n + 3:  # n - 1 tree edges and 4 chords
         u, v = rng.sample(ids, 2)
         if frozenset((u, v)) not in seen:
             seen.add(frozenset((u, v)))
