@@ -22,40 +22,16 @@ c(v) = F(v) / w(v). Entries hold these as unreduced integers
 (F, w^2, F * w), fusing is (Pa * Pb, Qa * Qb, Cna * Qb + Pa * Cnb), and
 rank(S) = (P - Q) / Cn. Since Cn > 0 always, ranks are compared by
 cross-multiplication, which never flips an inequality and never divides.
+Nothing is rounded: t(v) < 1 is common, and floats could misorder
+near-ties.
 A compound formed by a subtree root absorbing entries is kept over
 Q = w^2 of that root, with P the exact size of its tensor (see
 ``_absorb``), so its integers do not grow with its member count.
 
-Inside the solver an entry is a plain tuple ``(P, Q, Cn, lead_key, node,
-absorbed)``. ``node`` is its leading member, the subtree root that formed
-it, and ``lead_key`` is ``id_key(node)``, computed once per node.
-``absorbed`` is the tuple of entries the compound fused, in order, each
-kept as its ``(node, absorbed)`` pair, and is empty for a single node: a
-fused entry's numbers are never read again, and on a long path they
-would add up to integers as long as the path for every compound. An
-entry holds no member list: its members are ``node`` followed by the
-members of each absorbed entry, and only the winning order is expanded
-that way, once, with an explicit stack. Chains are sorted by (rank,
-lead_key): entries being merged cover disjoint nodes, so their leading
-ids differ and a rank tie always resolves the same way. The public
-``SequenceEntry`` (members, P, Q, Cn) is what ``linearized_chain``
-returns.
-
-The chain of the subtree at v seen from its neighbour p depends only on
-the directed edge (v, p). The solver roots the tree once and builds
-every subtree chain bottom-up, keeping at each internal node the merge
-of its children's chains. It then walks the tree top-down: the chain
-rooted at an internal node is a two-run merge of that kept merge and
-the chain from above, and each child's chain from above is that node
-absorbing the merge without the child's entries. So each directed
-edge is linearized at most once, 2(n - 1) in all. A leaf rooting is
-priced from its parent's rooting, without a chain of its own. Both
-passes are one generator, ``_rootings``, and the only linearizer here:
-``iks_order`` keeps its cheapest rooting; ``_traced_order``, behind
-``order --trace`` (also for ``mst-iks``, on its spanning tree), writes
-each one as it goes and returns the cheapest; and the per-root views
-``linearize_root`` and ``linearized_chain`` read its first record, the
-rooting at the graph's own root.
+Inside the solver an entry is a plain tuple, ``Entry``, that holds no
+member list; only the winning order is expanded to its members, once.
+Every rooting is priced by one walk, ``_rootings``, the only linearizer
+here.
 """
 
 from __future__ import annotations
@@ -115,8 +91,11 @@ def rank_leq(U: SequenceEntry, V: SequenceEntry) -> bool:
     return (U.P - U.Q) * V.Cn <= (V.P - V.Q) * U.Cn
 
 
-# (P, Q, Cn, lead_key, node, absorbed): the solver's own entries, see the
-# module docstring; ``absorbed`` holds (node, absorbed) pairs
+# the solver's entries (P, Q, Cn, lead_key, node, absorbed): node is the
+# leading member, the subtree root that formed the entry, lead_key its id_key,
+# computed once per node, and absorbed the (node, absorbed) pairs of the
+# entries it fused, in order, empty for a single node; a fused entry's numbers
+# are dropped, as on a long path they add up to integers as long as the path
 Entry = tuple[int, int, int, tuple[int, int, str], NodeId, tuple]
 
 
@@ -240,7 +219,10 @@ def _rootings(pg: PrecedenceGraph, deadline: float | None) -> Iterator[tuple]:
     neighbour) followed by ``entries`` expanded without position ``skip``
     (unless None), and costs ``cost``. The first record is ``pg.root``'s.
     Root keys are unique, so records order by (cost, root id) alone.
-    ``entries`` may be shared between records and is never changed.
+    ``entries`` may be shared between records and is never changed. The
+    chain of the subtree at v seen from its neighbour p depends only on
+    the directed edge (v, p), so each is linearized at most once, 2(n - 1)
+    in all, bottom-up and then top-down.
     ``deadline`` is as for ``iks_order``.
     """
     F, w, children, root = pg.F, pg.w, pg.children, pg.root

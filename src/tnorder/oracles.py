@@ -8,47 +8,20 @@ recurrence generalized to arbitrary networks. All three have hard size
 bounds, past which they raise ``SizeBoundError``. No size needs a case of
 its own: on one node each recurrence returns that node at cost 0.
 
-``dp_linear_optimal`` grows connected subsets one node at a time; layer
-k holds those of k nodes. Only the layer being scanned and the layer
-being built are live. A subset's state is one integer, from the top:
-the cost of its best order, its compound size, its reach (the mask of
-its members' neighbours, n bits) and its last node (5 bits, as n <= 30).
-The size field is as wide as the tensor sizes' bit lengths summed, since
-no compound size exceeds their product. A new subset's reach is its
-parent's OR the new node's neighbours, so no mask is walked bit by bit;
-its extensions are the reach's bits outside it, each visited once. The
-layer being built is a dict from mask to state. Once built it becomes
-its sorted masks (``array('I')``) and a list of their states in the same
-order; each state is read once, by index, and its slot then cleared. Of
-a finished layer only the masks and each mask's last node (``bytes``)
-are kept, and the order is rebuilt by walking those back with
-``bisect_left``. Masks are scanned in ascending order and an entry is
-replaced only when ``cand < old >> cs``, a strictly smaller cost, so of
-a subset's equal-cost predecessors the lowest mask wins. Its subset
-bound is checked on a spanning tree before any work, exact on trees,
-and on the subsets kept so far once per scanned mask, since a loopy
-network has more subsets than its trees. A subset is kept only if some
-plan through it can cost at most UB, the exact cost of the ``mst-iks``
-order; the function's docstring gives the rule and the proof that plans
-and costs stay those of the unpruned DP. On trees, where that order is
-optimal, few subsets are kept: 977 of the 2^18 + 18 of a 19-node star.
-Off trees the bound can be loose: on a 16-node ladder the order costs
-9,665 times the optimum, and 14,284 of its 14,748 connected subsets are
-kept.
-
 Bit positions follow the network's node order, so reconstructed plans are
 reproducible for equal input files. All three take an optional
 ``deadline`` (a ``time.monotonic()`` instant), raising ``TimeoutError`` so
 a partial table is discarded cleanly. The subset DPs check it once per
 subset whose splits they scan, ``linearized_dp`` once per interval length.
 
-``dp_general_optimal`` and ``linearized_dp`` first take an upper bound UB,
-the exact cost of a real plan: for ``linearized_dp`` its base order
-contracted left to right, for ``dp_general_optimal`` ``linearized_dp`` on
-the ``mst-iks`` order. Both hold every value past UB at UB + 1 and scan
-only the splits whose halves are valued at most UB; their docstrings give
-the rules and the proofs that plans, tie-breaks and costs stay those of
-the unpruned recurrences.
+Each first takes an upper bound UB, the exact cost of a real plan: for
+``dp_linear_optimal`` the ``mst-iks`` order, for ``linearized_dp`` its
+base order contracted left to right, for ``dp_general_optimal``
+``linearized_dp`` on the ``mst-iks`` order. ``dp_linear_optimal`` keeps
+a subset only if some plan through it can cost at most UB; the other two
+hold every value past UB at UB + 1 and scan only the splits whose halves
+are valued at most UB. Their docstrings give the rules and the proofs
+that plans, tie-breaks and costs stay those of the unpruned recurrences.
 
 The split loops of both DPs price a split of S into halves A and B only
 when it can beat the best split found so far. Each test is exact and
@@ -71,25 +44,8 @@ and gap^2 < 2^(2g), and the split is skipped when a + b + c - 3 >= 2g,
 from small integers held in tables, with no product formed. It implies
 the square test, so the splits priced are those the square test alone
 would price. It pays there, as many splits pass the half-sum and sizes
-are long: on the iks order of the 256-node star, intervals reach sizes
-of 910 bits, and on the 256-node MPS path it settles 1.71 million of the
-1.99 million splits that pass the half-sum. ``dp_general_optimal`` runs
-two: its live halves leave few splits past the half-sum, about 750 per
-op of the ``exact-baselines`` workload, too few for a table of 2^n bit
-lengths to save time on. The trade is on dense 16-node networks: on the
-plan ledger's ``dp-general/loopy/16/1``, 644,133 splits pass the
-half-sum, the bit test would settle 571,405 of them, and without it the
-DP takes 1.07-1.15 times as long (in process, shared 2-core host, Python
-3.11.7).
-
-``linearized_dp`` starts each interval's scan from a seed split, priced
-first when its halves leave room under UB, that is often the winner, so
-few later splits pass the half-sum, and ties go to the first minimum in
-the order of pricing every split. ``dp_general_optimal`` starts from UB +
-1 and keeps strict wins only; its tie rule, the minimal partition with
-the largest s (as its docstring names partitions), picks the first
-minimum of the unpruned recurrence. Either way plans are those of the
-unpruned recurrences.
+are long. ``dp_general_optimal`` runs two: its live halves leave too few
+splits past the half-sum for a table of 2^n bit lengths to pay.
 """
 
 from __future__ import annotations
@@ -113,27 +69,15 @@ __all__ = [
 ]
 
 DP_LINEAR_MAX_NODES = 30
-# bounds the linear DP's unpruned search space, its connected subsets counted
-# on a spanning tree, before any work, and the subsets it keeps, in the layer
-# loop. The plan-cost bound keeps few on trees: a 19-node star (2^18 + 18)
-# takes 5-6 ms, where building every subset took 1.4-1.7 s. Stars of 21 nodes
-# and more are still refused, as a policy on the unpruned space, though with
-# this limit lifted a 30-node star takes 5 ms. Ladders are refused after 2^20
-# kept subsets: 24 nodes in 5.8-6.4 s and +50 MB, 30 nodes in 4.4-4.6 s and
-# +80 MB (in process, one session, shared 2-core host, Python 3.11.7)
+# connected subsets, of the unpruned space (a star has the most of any tree)
+# and kept (the bound prunes few on loopy networks such as ladders)
 DP_LINEAR_MAX_SUBSETS = 2**20
 # 3^n partitions, less those of subsets no plan within the bound passes
-# through and those with a half that is not live: 0.1-0.4 s on 16-node loopy
-# networks (four loops) and on 16-node random trees, 0.4-0.9 s skipping only
-# subsets larger than the bound, 2.5-3.7 s with no subset skipped (2-core
-# host, Python 3.11.7)
+# through and those with a half that is not live: the looser the bound, the
+# more are left
 DP_GENERAL_MAX_NODES = 16
-# O(n^3) over big integers, on the iks order: 0.5-0.6 s on a random 256-node
-# tree, 0.2-0.3 s on a 256-node star and on a two-leg spider (dims 1-10, open
-# legs 1-5), 0.6-0.8 s on a 256-node MPS path (open legs 2-4, bonds 2-10),
-# 1.6-2.1 s on one of 10^6 bonds, 8.2-9.1 s on a 384-node one, but 0.02-0.03 s
-# on a 256-node path of 10^6 bonds with no open legs, whose interval values
-# mostly lie past the bound (shared 2-core AMD EPYC host, Python 3.11.7)
+# O(n^3) splits over big integers, on the iks order; MPS paths of large bonds,
+# whose interval sizes grow with n, take the longest
 LIN_DP_MAX_NODES = 256
 
 
@@ -185,8 +129,12 @@ def dp_linear_optimal(
     adjacent outside node, so outer products never enter the search
     space. Works on any connected network (not just trees) up to
     ``DP_LINEAR_MAX_NODES`` nodes and ``DP_LINEAR_MAX_SUBSETS`` connected
-    subsets, both checked as the module docstring says. Two layers of
-    subsets are live at a time.
+    subsets, counted on a spanning tree before any work (exact on trees)
+    and, as a loopy network has more, among those kept once per scanned
+    mask. Two layers of subsets are live at a time. Masks are scanned in
+    ascending order and a candidate replaces a stored one only at a
+    strictly smaller cost, so of a subset's equal-cost predecessors the
+    lowest mask wins.
 
     Before the layers, UB is the exact cost of the ``mst-iks`` order
     (``heuristics.order_arbitrary``, given this call's ``deadline``). That
@@ -398,8 +346,7 @@ def dp_general_optimal(
             continue  # on no plan within the bound: best stays ub + 1
         _check_deadline(deadline)
         halves = live[i]
-        # strict wins below ub + 1: of the minimal partitions, the one whose
-        # half holding low is largest
+        # strict wins below ub + 1, for the docstring's tie rule
         cur = ub + 1
         lim = cur - whole
         at = 0
@@ -469,10 +416,7 @@ def linearized_dp(
     1, so that a tie with the seed wins, and k > s from the best so far
     (the bar if no k < s won) with strict wins only. A split is priced only
     if it passes the module docstring's three split tests (half-sum, bit
-    lengths, square), with [i, j] as S; bl holds the sizes' bit lengths.
-    Shifted column copies of the size, bit-length and value tables,
-    nsz[j][k] = sz[k+1][j], nbl[j][k] = bl[k+1][j] and nbest[j][k] =
-    best[k+1][j], let a split read both halves at the same index k.
+    lengths, square), with [i, j] as S.
 
     Before the scan, UB is ``order`` contracted left to right, n - 1 steps
     priced on the size table, and cap = UB + 1: every interval value past
@@ -534,8 +478,7 @@ def linearized_dp(
             size = sz_i[j] = nsz[j][i - 1] = size * tsize[j] // (shared * shared)
             bl_i[j] = nbl[j][i - 1] = size.bit_length()
 
-    # the bound: the order contracted left to right; every value past it is
-    # held at cap
+    # the bound: the order contracted left to right
     sz_0 = sz[0]
     ub = sum(_split_cost(sz_0[k - 1], tsize[k], sz_0[k]) for k in range(1, n))
     cap = ub + 1
@@ -543,8 +486,7 @@ def linearized_dp(
     nbest = [[0] * n for _ in range(n)]
     # split[i][i] = i, the seed of [i, i + 1]
     split = [[i] * n for i in range(n)]
-    # the live range: hi[i], the last k with best[i][k] <= ub, and lo[j], the
-    # first k with best[k + 1][j] <= ub, among the intervals scanned so far
+    # each interval's live splits lie in [lo[j], hi[i]]
     hi = list(range(n))
     lo = [j - 1 for j in range(n)]
     for length in range(2, n + 1):

@@ -8,16 +8,8 @@ optimizer derives everything:
     w(v)  size of the edge to the parent (1 for the root)
     F(v)  full tensor size: open_mult(v) times all incident edge sizes
 
-The rank ingredients are the rationals
-
-    t(v)  F(v) / w(v)^2, the factor by which contracting v multiplies the
-          size of the already-contracted prefix
-    c(v)  F(v) / w(v), the cost of contracting v into a prefix of size 1
-
-which the optimizer keeps as the unreduced integers (F, w^2, F * w) of
-its sequence entries (see ``iks``). t(v) < 1 is common and float
-comparisons could misorder near-ties, so nothing is ever rounded or
-reduced: t and c exist only as those integers.
+``iks`` defines the rank ingredients t and c from these two and keeps
+them as exact integers.
 
 A precedence graph is built by one iterative walk from the root, which
 records each node's parent, children and w as it reaches the node. F

@@ -19,9 +19,9 @@ import sys
 
 def star(n: int) -> dict:
     # a hub and n - 1 leaves. At n = 256: disconnected intervals with huge
-    # sizes and many near-equal splits, the interval DP's slowest tree
-    # shape. At n = 20: 2^19 + 19 connected subsets, the most of any
-    # 20-node tree, so the linear DP's largest layers within its bound
+    # sizes and many near-equal splits. At n = 20: 2^19 + 19 connected
+    # subsets, the most of any 20-node tree, so the linear DP's largest
+    # layers within its bound
     ids = ["H"] + [f"L{i}" for i in range(1, n)]
     return {
         "nodes": [{"id": v, "open": 1 + i % 5} for i, v in enumerate(ids)],

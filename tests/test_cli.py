@@ -323,8 +323,8 @@ def test_order_lin_dp_size_bound_exit_code(tmp_path, capsys):
 
 
 def test_order_lin_dp_refuses_before_the_base_order(tmp_path, capsys, monkeypatch):
-    # the default base order is mst-iks's, which takes 5.7 s on a
-    # 20,000-node path (2-core host); an oversized network never reaches it
+    # the default base order is mst-iks's, a whole iks pass; an oversized
+    # network never reaches it
     from tnorder import heuristics
 
     def no_base_order(net):

@@ -4,9 +4,14 @@ The pytest process has already imported every module, so the load sets
 are read in a fresh interpreter.
 """
 
+import ast
+import io
 import json
+import re
 import subprocess
 import sys
+import tokenize
+from pathlib import Path
 
 import pytest
 
@@ -107,3 +112,30 @@ def test_size_bound_error_is_one_class():
 
     assert tnorder.SizeBoundError is network.SizeBoundError
     assert oracles.SizeBoundError is network.SizeBoundError
+
+
+# a time, size or host named in a comment or docstring: measurements belong
+# in README and CHANGES.md, where they are taken again, not in the code
+MEASUREMENT = re.compile(r"\bhost\b|\d\s?(?:ms|s|MB)\b")
+
+
+def test_source_comments_and_docstrings_quote_no_measurement():
+    found = []
+    for path in sorted(Path(tnorder.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        notes = [
+            (tok.start[0], tok.string)
+            for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+            if tok.type == tokenize.COMMENT
+        ]
+        docs = [
+            node.body[0] for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and ast.get_docstring(node)
+        ]
+        notes += [(doc.lineno, ast.get_source_segment(text, doc)) for doc in docs]
+        for start, note in notes:
+            for k, line in enumerate(note.splitlines()):
+                if MEASUREMENT.search(line):
+                    found.append(f"{path.name}:{start + k}: {line.strip()}")
+    assert found == []
