@@ -112,19 +112,15 @@ def _cmd_order(args: argparse.Namespace) -> int:
         tree, cost = dp_general_optimal(net)
         plan = TreePlan(tree)
     else:  # lin-dp
-        from .heuristics import order_arbitrary
-        from .oracles import _check_bound, linearized_dp
+        from .oracles import linearized_dp
         from .plans import parse_plan
 
-        _check_bound(net, algorithm)  # before the base order is computed
+        base = None  # linearized_dp's default: the mst-iks order
         if args.order is not None:
             base = parse_plan(_read(args.order))
             if not isinstance(base, LinearPlan):
                 raise ValidationError("lin-dp needs a linear plan as its base order")
-            base_order = base.order
-        else:
-            base_order, _ = order_arbitrary(net)
-        tree, cost = linearized_dp(net, base_order)
+        tree, cost = linearized_dp(net, base)
         plan = TreePlan(tree)
 
     _write(args.output, plan.to_json() + "\n")

@@ -280,8 +280,8 @@ def dp_general_optimal(
     every mask is sized, as larger masks are built from it. A lone node
     takes best 0 and starts its list in ``live``.
 
-    Before the pass, UB is the exact cost of ``linearized_dp`` on the
-    ``mst-iks`` order (``heuristics.order_arbitrary``), both given this
+    Before the pass, UB is the exact cost of ``linearized_dp`` on its
+    default ``mst-iks`` order (``heuristics.order_arbitrary``), given this
     call's ``deadline``. Each scan starts from best so far = UB + 1, so a
     subset none of whose partitions costs at most UB keeps UB + 1 and no
     split. A proper subset S of two or more nodes is not scanned, and
@@ -316,9 +316,7 @@ def dp_general_optimal(
     n = len(net.nodes)
     nodes = net.nodes
     # the bound: lin-dp on the mst-iks order, a real plan's exact cost
-    ub = linearized_dp(
-        net, order_arbitrary(net, deadline=deadline)[0], deadline=deadline
-    )[1]
+    ub = linearized_dp(net, deadline=deadline)[1]
     tsize, adj = _indexed(net, nodes)
     legs = [[(1 << j, s) for j, s in a] for a in adj]
     full = (1 << n) - 1
@@ -397,11 +395,13 @@ def dp_general_optimal(
 
 def linearized_dp(
     net: TensorNetwork,
-    order: LinearPlan | Sequence[NodeId],
+    order: LinearPlan | Sequence[NodeId] | None = None,
     *,
     deadline: float | None = None,
 ) -> tuple[TreeNode, int]:
-    """Best contraction tree whose in-order leaves equal ``order``.
+    """Best contraction tree whose in-order leaves equal ``order``, by
+    default the ``mst-iks`` order (``heuristics.order_arbitrary``, given
+    ``deadline``), computed only once the size bound passes.
 
     Interval DP over contiguous ranges of the order, O(n^3) split points,
     bounded at ``LIN_DP_MAX_NODES`` nodes.
@@ -450,6 +450,8 @@ def linearized_dp(
     of its trees' costs. ``deadline`` is checked once per interval length.
     """
     _check_bound(net, "lin-dp")
+    if order is None:
+        order = order_arbitrary(net, deadline=deadline)[0]
     n = len(net.nodes)
     if isinstance(order, LinearPlan):
         seq = order.order

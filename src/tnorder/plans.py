@@ -85,9 +85,28 @@ class LinearPlan(NamedTuple):
         return json.dumps({"type": "linear", "order": list(self.order)})
 
 
-# stack markers for TreePlan.to_json and __repr__: close a list or tuple,
-# close a one-item tuple, separate two items
-_CLOSE, _CLOSE_ONE, _COMMA = object(), object(), object()
+# stack markers for _pair_text: close a pair, separate its two items
+_CLOSE, _COMMA = object(), object()
+
+
+def _pair_text(root: TreeNode, opening: str, closing: str, write) -> str:
+    """``root`` with each pair written as ``opening left, right closing``,
+    without recursion (json.dumps and tuple.__repr__ recurse once per tree
+    level), and anything else, a non-pair tuple too, written by ``write``."""
+    parts = []
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if type(item) is tuple and len(item) == 2:
+            parts.append(opening)
+            stack += (_CLOSE, item[1], _COMMA, item[0])
+        elif item is _COMMA:
+            parts.append(", ")
+        elif item is _CLOSE:
+            parts.append(closing)
+        else:
+            parts.append(write(item))
+    return "".join(parts)
 
 
 class TreePlan(NamedTuple):
@@ -96,50 +115,12 @@ class TreePlan(NamedTuple):
     __eq__, __ne__, __hash__ = _plan_eq, _plan_ne, _plan_hash
 
     def to_json(self) -> str:
-        """``json.dumps({"type": "tree", "root": self.root})``, written
-        without recursion over pairs: json.dumps recurses once per tree
-        level. Anything else in the tree is written by json.dumps."""
-        parts = ['{"type": "tree", "root": ']
-        stack = [self.root]
-        while stack:
-            item = stack.pop()
-            if type(item) is tuple and len(item) == 2:
-                parts.append("[")
-                stack += (_CLOSE, item[1], _COMMA, item[0])
-            elif item is _COMMA:
-                parts.append(", ")
-            elif item is _CLOSE:
-                parts.append("]")
-            else:
-                parts.append(json.dumps(item))
-        parts.append("}")
-        return "".join(parts)
+        """``json.dumps({"type": "tree", "root": self.root})``."""
+        return '{"type": "tree", "root": ' + _pair_text(self.root, "[", "]", json.dumps) + "}"
 
     def __repr__(self) -> str:
-        """The NamedTuple repr, ``TreePlan(root=(('a', 'b'), 'c'))``,
-        written without recursion over tuples: tuple.__repr__ recurses
-        once per tree level. Anything else in the tree is written by
-        repr."""
-        parts = ["TreePlan(root="]
-        stack = [self.root]
-        while stack:
-            item = stack.pop()
-            if type(item) is tuple:
-                parts.append("(")
-                stack.append(_CLOSE_ONE if len(item) == 1 else _CLOSE)
-                for later in item[:0:-1]:
-                    stack += (later, _COMMA)
-                stack += item[:1]
-            elif item is _COMMA:
-                parts.append(", ")
-            elif item is _CLOSE:
-                parts.append(")")
-            elif item is _CLOSE_ONE:
-                parts.append(",)")
-            else:
-                parts.append(repr(item))
-        parts.append(")")
-        return "".join(parts)
+        """The NamedTuple repr, ``TreePlan(root=(('a', 'b'), 'c'))``."""
+        return f"TreePlan(root={_pair_text(self.root, '(', ')', repr)})"
 
 
 ContractionPlan = Union[LinearPlan, TreePlan]

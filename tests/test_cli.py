@@ -324,13 +324,14 @@ def test_order_lin_dp_size_bound_exit_code(tmp_path, capsys):
 
 def test_order_lin_dp_refuses_before_the_base_order(tmp_path, capsys, monkeypatch):
     # the default base order is mst-iks's, a whole iks pass; an oversized
-    # network never reaches it
-    from tnorder import heuristics
+    # network never reaches it. linearized_dp reads the name in oracles
+    from tnorder import heuristics, oracles
 
-    def no_base_order(net):
+    def no_base_order(net, **kwargs):
         raise AssertionError("base order computed for a refused network")
 
-    monkeypatch.setattr(heuristics, "order_arbitrary", no_base_order)
+    for module in (heuristics, oracles):
+        monkeypatch.setattr(module, "order_arbitrary", no_base_order)
     n = LIN_DP_MAX_NODES + 1
     net_file = tmp_path / "big.json"
     net_file.write_text(generate_random_tree_network(n, 0).to_json())
@@ -652,7 +653,8 @@ def test_malformed_deep_tree_plan_is_a_validation_error(tmp_path, capsys):
 
 def test_deeply_nested_network_file_is_a_validation_error(tmp_path, capsys):
     bad = tmp_path / "deep.json"
-    bad.write_text('{"nodes": ' + "[" * 3000 + "]" * 3000 + ', "edges": []}')
+    # past json.loads' depth limit on every release: 3.13 reads 3,000 levels
+    bad.write_text('{"nodes": ' + "[" * 100_000 + "]" * 100_000 + ', "edges": []}')
     assert main(["order", "--algorithm", "iks", "--network", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "nested too deeply" in err and "Traceback" not in err

@@ -339,6 +339,26 @@ def test_linearized_dp_size_bound():
         linearized_dp(net, net.nodes)
 
 
+def test_linearized_dp_defaults_to_the_mst_iks_order(five_tensor_net):
+    rng = random.Random(38)
+    tree = to_network(*random_tree_data(rng, 12, open_hi=2))
+    loopy = to_network(*random_connected_data(rng, 12, 4))
+    for net in (tree, loopy, five_tensor_net):
+        assert linearized_dp(net) == linearized_dp(net, order_arbitrary(net)[0])
+
+
+def test_linearized_dp_refuses_before_the_default_order(monkeypatch):
+    # the default order is mst-iks's, a whole iks pass; an oversized
+    # network never reaches it
+    def no_base_order(net, **kwargs):
+        raise AssertionError("base order computed for a refused network")
+
+    monkeypatch.setattr(oracles, "order_arbitrary", no_base_order)
+    net = big_path(LIN_DP_MAX_NODES + 1)
+    with pytest.raises(SizeBoundError, match=str(LIN_DP_MAX_NODES + 1)):
+        linearized_dp(net)
+
+
 def test_linearized_dp_validates_order(five_tensor_net):
     from tnorder import ValidationError
 

@@ -113,10 +113,11 @@ def test_parse_plan_rejects_bad_tree_arity():
 
 
 def test_parse_plan_reads_trees_nested_past_the_recursion_limit():
-    # json.loads recurses and gives out near the limit; past it the plan
-    # is read by _read_deep, into the same plan
+    # json.loads recurses and gives out near the limit (3.13 only past
+    # 10,000 levels); past it the plan is read by _read_deep, into the
+    # same plan
     limit = sys.getrecursionlimit()
-    for depth in (*range(limit - 200, limit + 50, 10), 5000):
+    for depth in (*range(limit - 200, limit + 50, 10), 5000, 20_000):
         text = '{"type": "tree", "root": ' + "[" * depth + '"L"'
         text += ', "R"]' * depth + "}"
         plan = parse_plan(text)
